@@ -2,9 +2,7 @@
 //! pairwise name-similarity matrix `Ml`.
 
 use ceaff::datagen::Preset;
-use ceaff::sim::{
-    blocked_string_similarity_matrix, levenshtein_ratio, string_similarity_matrix, BlockingConfig,
-};
+use ceaff::sim::{levenshtein_ratio, string_similarity_matrix};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn bench_levenshtein(c: &mut Criterion) {
@@ -44,17 +42,6 @@ fn bench_levenshtein(c: &mut Criterion) {
         let t = &tgt[..n.min(tgt.len())];
         group.bench_with_input(BenchmarkId::new("matrix", n), &n, |b, _| {
             b.iter(|| string_similarity_matrix(std::hint::black_box(s), std::hint::black_box(t)))
-        });
-        // Blocked variant: the inverted-index candidate generation that
-        // makes the string feature affordable at 100k scale.
-        group.bench_with_input(BenchmarkId::new("matrix-blocked", n), &n, |b, _| {
-            b.iter(|| {
-                blocked_string_similarity_matrix(
-                    std::hint::black_box(s),
-                    std::hint::black_box(t),
-                    &BlockingConfig::default(),
-                )
-            })
         });
     }
     group.finish();

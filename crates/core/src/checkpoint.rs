@@ -167,6 +167,23 @@ impl ByteWriter {
     }
 }
 
+/// Offsets of the u64 counts a [`ByteReader`] read on this thread — the
+/// splice targets of the decoders' corruption tests.
+#[cfg(test)]
+#[derive(Debug, Default)]
+pub(crate) struct CountReads {
+    /// Every [`ByteReader::usize`] read: length prefixes and scalars.
+    pub(crate) all: Vec<usize>,
+    /// The length prefixes among them ([`ByteReader::checked_len`]).
+    pub(crate) prefixes: Vec<usize>,
+}
+
+#[cfg(test)]
+thread_local! {
+    pub(crate) static COUNT_READS: std::cell::RefCell<CountReads> =
+        std::cell::RefCell::default();
+}
+
 /// Cursor-based decoder over a checkpoint artifact; every read is
 /// bounds-checked so a truncated or corrupt payload fails with a reason
 /// instead of panicking.
@@ -227,6 +244,8 @@ impl<'a> ByteReader<'a> {
     }
 
     pub(crate) fn usize(&mut self) -> Result<usize, String> {
+        #[cfg(test)]
+        COUNT_READS.with(|reads| reads.borrow_mut().all.push(self.pos));
         let v = self.u64()?;
         usize::try_from(v).map_err(|_| format!("length {v} exceeds the address space"))
     }
@@ -234,7 +253,9 @@ impl<'a> ByteReader<'a> {
     /// A length prefix that must also be *plausible*: the remaining bytes
     /// must be able to hold `elem_bytes`-sized elements of that count.
     /// Catches corrupted lengths before they drive a huge allocation.
-    fn checked_len(&mut self, elem_bytes: usize) -> Result<usize, String> {
+    pub(crate) fn checked_len(&mut self, elem_bytes: usize) -> Result<usize, String> {
+        #[cfg(test)]
+        COUNT_READS.with(|reads| reads.borrow_mut().prefixes.push(self.pos));
         let n = self.usize()?;
         let need = n
             .checked_mul(elem_bytes)

@@ -48,7 +48,7 @@ use std::collections::{BTreeMap, HashSet};
 use ceaff_embed::{embed_name, WordEmbedder};
 use ceaff_graph::{KgDelta, KgPair, KnowledgeGraph};
 use ceaff_sim::{
-    keys_of, levenshtein_ratio, BlockingConfig, SimStore, SimilarityMatrix, SparseTopK, TargetIndex,
+    keys_of, BlockingConfig, LcsPattern, SimStore, SimilarityMatrix, SparseTopK, TargetIndex,
 };
 use ceaff_telemetry::Telemetry;
 use ceaff_tensor::{dot, Matrix};
@@ -280,6 +280,16 @@ impl DeltaState {
         let string = match &self.features.string {
             None => None,
             Some(old_f) => {
+                // One pattern per rescored row against targets decoded
+                // once, the kernel `string_similarity_matrix` and
+                // `StringFeature::compute_blocked` use.
+                let tgt_chars: Vec<Vec<char>> =
+                    new_tests.iter().map(|(_, t)| t.chars().collect()).collect();
+                let row_score = |i: usize| {
+                    let mut pattern = LcsPattern::new(&new_tests[i].0);
+                    let tgt_chars = &tgt_chars;
+                    move |j: usize| pattern.ratio(&tgt_chars[j])
+                };
                 let store = match old_f.test_store() {
                     SimStore::Dense(old_m) => {
                         note(count_dirty(&maps.new_row_old) as f64);
@@ -287,7 +297,7 @@ impl DeltaState {
                             old_m,
                             &maps.new_row_old,
                             &maps.new_col_old,
-                            |i, j| levenshtein_ratio(&new_tests[i].0, &new_tests[j].1),
+                            row_score,
                         ))
                     }
                     SimStore::Sparse(old_s) => {
@@ -299,7 +309,10 @@ impl DeltaState {
                             &maps,
                             b,
                             &b.base_dirty,
-                            |i, j| levenshtein_ratio(&new_tests[i].0, &new_tests[j as usize].1),
+                            |i| {
+                                let mut score = row_score(i);
+                                move |j: u32| score(j as usize)
+                            },
                         ))
                     }
                 };
@@ -333,10 +346,10 @@ impl DeltaState {
                             old_m,
                             &maps.new_row_old,
                             &maps.new_col_old,
-                            |i, j| {
+                            |i| {
                                 let a = unit(ns.row(new_src_ids[i].index()));
-                                let b = unit(nt.row(new_tgt_ids[j].index()));
-                                dot(&a, &b)
+                                let (nt, ids) = (&nt, &new_tgt_ids);
+                                move |j: usize| dot(&a, &unit(nt.row(ids[j].index())))
                             },
                         ))
                     }
@@ -351,11 +364,10 @@ impl DeltaState {
                             &maps,
                             b,
                             &b.base_dirty,
-                            |i, j| {
-                                dot(
-                                    ns.row(new_src_ids[i].index()),
-                                    nt.row(new_tgt_ids[j as usize].index()),
-                                )
+                            |i| {
+                                let a = ns.row(new_src_ids[i].index());
+                                let (nt, ids) = (&nt, &new_tgt_ids);
+                                move |j: u32| dot(a, nt.row(ids[j as usize].index()))
                             },
                         ))
                     }
@@ -392,10 +404,10 @@ impl DeltaState {
                             })
                             .collect();
                         note(count_dirty(&clean_row) as f64);
-                        SimStore::Dense(patch_dense(old_m, &clean_row, &clean_col, |i, j| {
+                        SimStore::Dense(patch_dense(old_m, &clean_row, &clean_col, |i| {
                             let a = unit(zs.row(new_src_ids[i].index()));
-                            let b = unit(zt.row(new_tgt_ids[j].index()));
-                            dot(&a, &b)
+                            let (zt, ids) = (&zt, &new_tgt_ids);
+                            move |j: usize| dot(&a, &unit(zt.row(ids[j].index())))
                         }))
                     }
                     SimStore::Sparse(old_s) => {
@@ -670,29 +682,32 @@ fn unit(row: &[f32]) -> Vec<f32> {
 }
 
 /// Patch a dense store: copy `(clean_row, clean_col)` cells from `old`,
-/// recompute the rest with `cell` — which must be the scalar form of the
-/// bulk kernel that built `old`.
-fn patch_dense(
+/// recompute the rest with `row_cell(i)(j)` — which must be the scalar
+/// form of the bulk kernel that built `old`. A row's scorer is set up only
+/// when one of its cells needs recomputing.
+fn patch_dense<G: FnMut(usize) -> f32>(
     old: &SimilarityMatrix,
     clean_row: &[Option<usize>],
     clean_col: &[Option<usize>],
-    cell: impl Fn(usize, usize) -> f32 + Sync,
+    row_cell: impl Fn(usize) -> G + Sync,
 ) -> SimilarityMatrix {
     let (rows, cols) = (clean_row.len(), clean_col.len());
     let m = propagation::matrix_from_par_rows(rows, cols, |i| {
         let mut out = vec![0.0f32; cols];
         match clean_row[i] {
             Some(oi) => {
+                let mut cell = None;
                 for (j, o) in out.iter_mut().enumerate() {
                     *o = match clean_col[j] {
                         Some(oj) => old.get(oi, oj),
-                        None => cell(i, j),
+                        None => cell.get_or_insert_with(|| row_cell(i))(j),
                     };
                 }
             }
             None => {
+                let mut cell = row_cell(i);
                 for (j, o) in out.iter_mut().enumerate() {
-                    *o = cell(i, j);
+                    *o = cell(j);
                 }
             }
         }
@@ -704,21 +719,22 @@ fn patch_dense(
 /// Patch a sparse top-k store: rebuild dirty rows through the *new*
 /// target index (the same `candidate_row` + score path
 /// [`SparseTopK::from_candidates`] takes), remap everything else.
-fn patch_sparse(
+fn patch_sparse<G: FnMut(u32) -> f32>(
     old: &SparseTopK,
     new_tests: &[(String, String)],
     maps: &SplitMaps,
     b: &BlockedCtx,
     dirty_rows: &[bool],
-    score: impl Fn(usize, u32) -> f32 + Sync,
+    row_score: impl Fn(usize) -> G + Sync,
 ) -> SparseTopK {
     let rebuilt: Vec<Option<Vec<(u32, f32)>>> =
         ceaff_parallel::par_map(new_tests.len(), PATCH_GRAIN, |i| {
             dirty_rows[i].then(|| {
+                let mut score = row_score(i);
                 b.index
                     .candidate_row(&new_tests[i].0, b.k)
                     .into_iter()
-                    .map(|j| (j, score(i, j)))
+                    .map(|j| (j, score(j)))
                     .collect()
             })
         });
@@ -735,37 +751,29 @@ fn patch_sparse(
 /// Per new test row: dirty for every sparse feature — new source name, or
 /// an added/removed target name *qualifies as a candidate* for the row.
 ///
-/// A target with fewer than `min_shared_keys` weighted shared keys never
-/// appears in `candidate_row`'s shared-count map above the filter, so it
-/// can affect neither membership nor ranking of the row's candidate list;
-/// kept targets keep their counts and (under the monotone column remap)
-/// their tie-break order. The shared count here is computed exactly as
-/// `candidate_row` accumulates it: Σ over keys of
-/// `source_multiplicity · target_multiplicity`.
+/// A target sharing fewer than `min_shared_keys` keys with the row never
+/// passes `candidate_row`'s shared-key filter, so it can affect neither
+/// membership nor ranking of the row's candidate list; kept targets keep
+/// their counts and (under the monotone column remap) their tie-break
+/// order. The shared count here is the one `candidate_row` takes: the
+/// number of distinct keys the two names have in common.
 fn blocked_dirty_base(
     old_tests: &[(String, String)],
     new_tests: &[(String, String)],
     maps: &SplitMaps,
     blocking: &BlockingConfig,
 ) -> Vec<bool> {
-    let key_counts = |name: &str| -> BTreeMap<String, usize> {
-        let mut m = BTreeMap::new();
-        for k in keys_of(name, blocking) {
-            *m.entry(k).or_insert(0) += 1;
-        }
-        m
-    };
-    let mut changed: Vec<BTreeMap<String, usize>> = Vec::new();
-    for (j, kept) in maps.new_col_old.iter().enumerate() {
-        if kept.is_none() {
-            changed.push(key_counts(&new_tests[j].1));
-        }
-    }
-    for (j, kept) in maps.old_to_new_col.iter().enumerate() {
-        if kept.is_none() {
-            changed.push(key_counts(&old_tests[j].1));
-        }
-    }
+    let added = maps.new_col_old.iter().zip(new_tests);
+    let removed = maps.old_to_new_col.iter().zip(old_tests);
+    let changed: Vec<Vec<String>> = added
+        .filter(|(kept, _)| kept.is_none())
+        .map(|(_, (_, t))| keys_of(t, blocking))
+        .chain(
+            removed
+                .filter(|(kept, _)| kept.is_none())
+                .map(|(_, (_, t))| keys_of(t, blocking)),
+        )
+        .collect();
     new_tests
         .iter()
         .enumerate()
@@ -776,16 +784,29 @@ fn blocked_dirty_base(
             if changed.is_empty() {
                 return false;
             }
-            let src = key_counts(s);
-            changed.iter().any(|tgt| {
-                let shared: usize = src
-                    .iter()
-                    .map(|(k, sm)| sm * tgt.get(k).copied().unwrap_or(0))
-                    .sum();
-                shared >= blocking.min_shared_keys
-            })
+            let src = keys_of(s, blocking);
+            changed
+                .iter()
+                .any(|tgt| shared_keys(&src, tgt) >= blocking.min_shared_keys)
         })
         .collect()
+}
+
+/// Number of keys two ascending, deduplicated key lists share.
+fn shared_keys(a: &[String], b: &[String]) -> usize {
+    let (mut i, mut j, mut shared) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                shared += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    shared
 }
 
 /// Patch a full-KG name-embedding matrix: kept names copy their old row

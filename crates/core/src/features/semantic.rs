@@ -81,8 +81,9 @@ impl SemanticFeature {
         let zs = n_source.gather_rows(&src_idx);
         let zt = n_target.gather_rows(&tgt_idx);
         // Rows are unit-normalised, so the dot product is the cosine.
-        let sparse = SparseTopK::from_candidates(candidates, k, |i, j| {
-            ceaff_tensor::dot(zs.row(i), zt.row(j as usize))
+        let sparse = SparseTopK::from_candidates(candidates, k, |i| {
+            let (a, zt) = (zs.row(i), &zt);
+            move |j| ceaff_tensor::dot(a, zt.row(j as usize))
         });
         Self {
             n_source,

@@ -9,8 +9,8 @@
 use super::Feature;
 use ceaff_graph::{EntityId, KgPair};
 use ceaff_sim::{
-    levenshtein_ratio, string_similarity_matrix, CandidateSet, SimStore, SimilarityMatrix,
-    SparseTopK,
+    levenshtein_ratio, name_chars, string_similarity_matrix, CandidateSet, LcsPattern, SimStore,
+    SimilarityMatrix, SparseTopK,
 };
 
 /// A computed string feature. Entity names are retained so arbitrary pairs
@@ -59,8 +59,9 @@ impl StringFeature {
     }
 
     /// Compute a sparse test store scoring only the blocked candidate
-    /// pairs: `O(|candidates|)` Levenshtein calls instead of the dense
-    /// `O(n·t)`. Rows keep at most `k` entries in canonical order.
+    /// pairs: `O(|candidates|)` `lev*` scores instead of the dense
+    /// `O(n·t)`, one [`LcsPattern`] per source row against target names
+    /// decoded once. Rows keep at most `k` entries in canonical order.
     pub fn compute_blocked(pair: &KgPair, candidates: &CandidateSet, k: usize) -> Self {
         let (source_names, target_names) = kg_names(pair);
         let src_test: Vec<&str> = pair
@@ -73,8 +74,11 @@ impl StringFeature {
             .iter()
             .map(|e| target_names[e.index()].as_str())
             .collect();
-        let sparse = SparseTopK::from_candidates(candidates, k, |i, j| {
-            levenshtein_ratio(src_test[i], tgt_test[j as usize])
+        let tgt_chars = name_chars(&tgt_test);
+        let sparse = SparseTopK::from_candidates(candidates, k, |i| {
+            let mut pattern = LcsPattern::new(src_test[i]);
+            let tgt_chars = &tgt_chars;
+            move |j| pattern.ratio(&tgt_chars[j as usize])
         });
         Self {
             source_names,
@@ -84,7 +88,7 @@ impl StringFeature {
     }
 
     /// Rebuild from a checkpointed test matrix. Names are cheap to derive
-    /// from the KG pair again; only the O(n²·len²) similarity matrix is
+    /// from the KG pair again; only the `O(n²)`-cell similarity matrix is
     /// worth saving.
     pub fn from_saved_parts(pair: &KgPair, test: SimilarityMatrix) -> Self {
         let (source_names, target_names) = kg_names(pair);

@@ -126,8 +126,9 @@ impl StructuralFeature {
         let zs = z_source.gather_rows(&src_idx);
         let zt = z_target.gather_rows(&tgt_idx);
         // Rows are unit-normalised, so the dot product is the cosine.
-        let sparse = SparseTopK::from_candidates(candidates, k, |i, j| {
-            ceaff_tensor::dot(zs.row(i), zt.row(j as usize))
+        let sparse = SparseTopK::from_candidates(candidates, k, |i| {
+            let (a, zt) = (zs.row(i), &zt);
+            move |j| ceaff_tensor::dot(a, zt.row(j as usize))
         });
         Self {
             z_source,

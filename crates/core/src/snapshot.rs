@@ -220,7 +220,8 @@ pub fn encode_delta_state(state: &DeltaState) -> Result<Vec<u8>, CeaffError> {
 // ---------------------------------------------------------------------------
 
 fn get_links(r: &mut ByteReader<'_>) -> Result<Vec<(EntityId, EntityId)>, String> {
-    let n = r.usize()?;
+    // Each link is two u32 ids.
+    let n = r.checked_len(8)?;
     let mut links = Vec::with_capacity(n);
     for _ in 0..n {
         let u = EntityId::new(r.u32()?);
@@ -232,21 +233,23 @@ fn get_links(r: &mut ByteReader<'_>) -> Result<Vec<(EntityId, EntityId)>, String
 
 fn get_graph(r: &mut ByteReader<'_>) -> Result<KnowledgeGraph, String> {
     let mut g = KnowledgeGraph::new();
-    let n_entities = r.usize()?;
+    // Every name is at least its u64 length prefix.
+    let n_entities = r.checked_len(8)?;
     for i in 0..n_entities {
         let id = g.add_entity(&r.str()?);
         if id.index() != i {
             return Err(format!("duplicate entity name at interned id {i}"));
         }
     }
-    let n_relations = r.usize()?;
+    let n_relations = r.checked_len(8)?;
     for i in 0..n_relations {
         let id = g.add_relation(&r.str()?);
         if id.index() != i {
             return Err(format!("duplicate relation name at interned id {i}"));
         }
     }
-    let n_triples = r.usize()?;
+    // Each triple is three u32 ids.
+    let n_triples = r.checked_len(12)?;
     for _ in 0..n_triples {
         let head = EntityId::new(r.u32()?);
         let relation = RelationId::new(r.u32()?);
@@ -278,7 +281,8 @@ fn get_store(r: &mut ByteReader<'_>) -> Result<SimStore, String> {
         1 => {
             let targets = r.usize()?;
             let k = r.usize()?;
-            let sources = r.usize()?;
+            // Each row is at least its two u64 length prefixes.
+            let sources = r.checked_len(16)?;
             let mut rows = Vec::with_capacity(sources);
             for _ in 0..sources {
                 let cols = r.u32s()?;
@@ -300,9 +304,9 @@ fn get_store(r: &mut ByteReader<'_>) -> Result<SimStore, String> {
 
 fn get_fusion_report(r: &mut ByteReader<'_>) -> Result<FusionReport, String> {
     let weights = r.f32s()?;
-    let n = r.usize()?;
+    let n = r.checked_len(8)?;
     let candidates_per_feature = (0..n).map(|_| r.usize()).collect::<Result<_, _>>()?;
-    let n = r.usize()?;
+    let n = r.checked_len(8)?;
     let retained_per_feature = (0..n).map(|_| r.usize()).collect::<Result<_, _>>()?;
     let fallback_equal = r.u8()? != 0;
     Ok(FusionReport {
@@ -351,7 +355,8 @@ fn decode_inner(bytes: &[u8], cfg: &CeaffConfig) -> Result<DeltaState, String> {
 
     let mut prop = [Vec::new(), Vec::new()];
     for layers in &mut prop {
-        let n = r.usize()?;
+        // Each matrix is at least its two u64 shape prefixes.
+        let n = r.checked_len(16)?;
         for _ in 0..n {
             layers.push(r.matrix()?);
         }
@@ -394,8 +399,9 @@ fn decode_inner(bytes: &[u8], cfg: &CeaffConfig) -> Result<DeltaState, String> {
     };
 
     let fused = get_store(&mut r)?;
-    let n = r.usize()?;
-    let mut pairs = Vec::with_capacity(n.min(bytes.len() / 16));
+    // Each matched pair is two u64 indices.
+    let n = r.checked_len(16)?;
+    let mut pairs = Vec::with_capacity(n);
     for _ in 0..n {
         pairs.push((r.usize()?, r.usize()?));
     }
@@ -572,6 +578,42 @@ mod tests {
                 assert!(reason.contains("different configuration"), "{reason}")
             }
             other => panic!("wrong error: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn huge_counts_fail_typed_never_abort() {
+        let ds = dataset();
+        let src = ds.source_embedder(32);
+        let tgt = ds.target_embedder(32);
+        let cfg = cfg(true);
+        let state = DeltaState::new(&EaInput::new(&ds.pair, &src, &tgt), &cfg).unwrap();
+        let bytes = encode_delta_state(&state).unwrap();
+        // Every u64 count the decoder reads on a valid encoding.
+        crate::checkpoint::COUNT_READS.with(|r| r.take());
+        decode_delta_state(&bytes, &cfg).expect("valid encoding decodes");
+        let reads = crate::checkpoint::COUNT_READS.with(|r| r.take());
+        assert!(!reads.prefixes.is_empty());
+        assert!(reads.prefixes.iter().all(|at| reads.all.contains(at)));
+        // Splice 2^40 into each. A length prefix of 2^40 elements fits in
+        // no remaining payload and must fail typed; a scalar may decode.
+        // Neither may panic, nor reach the allocator with the count (an
+        // attempt to reserve terabytes aborts the process, failing this
+        // test).
+        let huge = (1u64 << 40).to_le_bytes();
+        for &at in &reads.all {
+            let mut bad = bytes.clone();
+            bad[at..at + 8].copy_from_slice(&huge);
+            let decoded = std::panic::catch_unwind(|| decode_delta_state(&bad, &cfg).map(|_| ()));
+            match decoded {
+                Err(_) => panic!("offset {at}: the decoder panicked"),
+                Ok(Err(CeaffError::Checkpoint { .. })) => {}
+                Ok(Err(other)) => panic!("offset {at}: untyped error {other:?}"),
+                Ok(Ok(())) => assert!(
+                    !reads.prefixes.contains(&at),
+                    "offset {at}: a 2^40 length prefix decoded"
+                ),
+            }
         }
     }
 

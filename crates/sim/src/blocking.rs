@@ -11,10 +11,8 @@
 //! the mono-lingual and close-lingual regimes need. Names in disjoint
 //! scripts share nothing and are — correctly — never candidates.
 
-use crate::levenshtein::levenshtein_ratio;
-use crate::matrix::SimilarityMatrix;
-use ceaff_tensor::Matrix;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::collections::HashMap;
 
 /// Blocking configuration.
@@ -147,6 +145,14 @@ impl CandidateSet {
 
 /// An inverted index over target names, reusable across source rows.
 ///
+/// Layout: every distinct key of the target names is interned once to a
+/// dense `u32` id, and the postings are one CSR array — the ascending
+/// target columns holding key `x` are
+/// `postings[offsets[x]..offsets[x + 1]]`. A source row looks up its own
+/// keys (keys no target holds are dropped), walks their postings and
+/// counts shared keys per column in a dense per-thread counter array,
+/// resetting only the columns it touched.
+///
 /// [`build_candidates`] builds one per call; the incremental path keeps
 /// rebuilding it per delta (cheap, `O(targets · keys)`) and recomputes
 /// [`candidate_row`](TargetIndex::candidate_row) only for dirty rows —
@@ -154,9 +160,28 @@ impl CandidateSet {
 /// patched candidate set is bitwise-identical to a fresh one.
 #[derive(Debug, Clone)]
 pub struct TargetIndex {
-    index: HashMap<String, Vec<u32>>,
+    ids: HashMap<Box<str>, u32>,
+    offsets: Vec<usize>,
+    postings: Vec<u32>,
     targets: usize,
     cfg: BlockingConfig,
+}
+
+/// Per-thread scratch of [`TargetIndex::candidate_row`].
+#[derive(Default)]
+struct RowScratch {
+    /// Shared-key count per target column; all zero between rows.
+    counts: Vec<u32>,
+    /// Columns whose count is non-zero.
+    touched: Vec<u32>,
+    /// The source row's key ids.
+    keys: Vec<u32>,
+    /// `(column, count)` of the columns passing the shared-key filter.
+    ranked: Vec<(u32, u32)>,
+}
+
+thread_local! {
+    static ROW_SCRATCH: RefCell<RowScratch> = RefCell::default();
 }
 
 impl TargetIndex {
@@ -166,14 +191,49 @@ impl TargetIndex {
             cfg.index_tokens || cfg.index_trigrams,
             "blocking needs at least one key kind enabled"
         );
-        let mut index: HashMap<String, Vec<u32>> = HashMap::new();
+        assert!(
+            u32::try_from(targets.len()).is_ok(),
+            "blocking indexes at most u32::MAX targets"
+        );
+        let mut ids: HashMap<Box<str>, u32> = HashMap::new();
+        // (key id, column), pushed in column order.
+        let mut pairs: Vec<(u32, u32)> = Vec::new();
+        let mut row: Vec<u32> = Vec::new();
         for (j, t) in targets.iter().enumerate() {
-            for key in keys_of(t.as_ref(), cfg) {
-                index.entry(key).or_default().push(j as u32);
-            }
+            row.clear();
+            for_each_key(t.as_ref(), cfg, |key| {
+                let x = match ids.get(key) {
+                    Some(&x) => x,
+                    None => {
+                        let x = u32::try_from(ids.len()).expect("fewer than 2^32 keys");
+                        ids.insert(key.into(), x);
+                        x
+                    }
+                };
+                row.push(x);
+            });
+            row.sort_unstable();
+            row.dedup();
+            pairs.extend(row.iter().map(|&x| (x, j as u32)));
+        }
+        // Counting sort by key id; within a key, columns stay ascending.
+        let mut offsets = vec![0usize; ids.len() + 1];
+        for &(x, _) in &pairs {
+            offsets[x as usize + 1] += 1;
+        }
+        for x in 0..ids.len() {
+            offsets[x + 1] += offsets[x];
+        }
+        let mut fill = offsets.clone();
+        let mut postings = vec![0u32; pairs.len()];
+        for &(x, j) in &pairs {
+            postings[fill[x as usize]] = j;
+            fill[x as usize] += 1;
         }
         Self {
-            index,
+            ids,
+            offsets,
+            postings,
             targets: targets.len(),
             cfg: *cfg,
         }
@@ -190,26 +250,55 @@ impl TargetIndex {
     ///
     /// Deterministic for a given index regardless of thread count.
     pub fn candidate_row(&self, source: &str, k: usize) -> Vec<u32> {
-        let mut shared: HashMap<u32, usize> = HashMap::new();
-        for key in keys_of(source, &self.cfg) {
-            if let Some(posting) = self.index.get(&key) {
-                for &j in posting {
-                    *shared.entry(j).or_insert(0) += 1;
+        ROW_SCRATCH.with(|scratch| {
+            let RowScratch {
+                counts,
+                touched,
+                keys,
+                ranked,
+            } = &mut *scratch.borrow_mut();
+            if counts.len() < self.targets {
+                counts.resize(self.targets, 0);
+            }
+            keys.clear();
+            for_each_key(source, &self.cfg, |key| {
+                if let Some(&x) = self.ids.get(key) {
+                    keys.push(x);
+                }
+            });
+            keys.sort_unstable();
+            keys.dedup();
+            for &x in keys.iter() {
+                let x = x as usize;
+                for &j in &self.postings[self.offsets[x]..self.offsets[x + 1]] {
+                    let c = &mut counts[j as usize];
+                    if *c == 0 {
+                        touched.push(j);
+                    }
+                    *c += 1;
                 }
             }
-        }
-        let mut ranked: Vec<(u32, usize)> = shared
-            .into_iter()
-            .filter(|&(_, count)| count >= self.cfg.min_shared_keys)
-            .collect();
-        // HashMap iteration order is arbitrary; the sort below makes the
-        // kept set deterministic: most shared keys first, ties toward the
-        // lower column.
-        ranked.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        ranked.truncate(k);
-        let mut cols: Vec<u32> = ranked.into_iter().map(|(j, _)| j).collect();
-        cols.sort_unstable();
-        cols
+            ranked.clear();
+            for &j in touched.iter() {
+                let c = std::mem::take(&mut counts[j as usize]);
+                if c as usize >= self.cfg.min_shared_keys {
+                    ranked.push((j, c));
+                }
+            }
+            touched.clear();
+            // Most shared keys first, ties toward the lower column: a
+            // strict total order, so the kept set is the sorted prefix.
+            let order = |a: &(u32, u32), b: &(u32, u32)| b.1.cmp(&a.1).then(a.0.cmp(&b.0));
+            if ranked.len() > k {
+                if k > 0 {
+                    ranked.select_nth_unstable_by(k - 1, order);
+                }
+                ranked.truncate(k);
+            }
+            let mut cols: Vec<u32> = ranked.iter().map(|&(j, _)| j).collect();
+            cols.sort_unstable();
+            cols
+        })
     }
 }
 
@@ -235,91 +324,73 @@ pub fn build_candidates<S: AsRef<str> + Sync, T: AsRef<str> + Sync>(
     CandidateSet::from_rows(targets.len(), rows)
 }
 
-/// The blocking keys of one name under `cfg`: lowercase tokens and/or
-/// character trigrams, sorted and deduplicated. Public so the incremental
-/// path can tell which source rows share a key with an edited target name.
-pub fn keys_of(name: &str, cfg: &BlockingConfig) -> Vec<String> {
-    let mut keys = Vec::new();
+/// Call `f` with every blocking key of `name` under `cfg`, duplicates
+/// included: per alphanumeric token, lowercased, its character trigrams
+/// (or the whole token when shorter than three characters) and/or the
+/// token itself. Trigrams are slices of the lowercased token, so no
+/// string is built per key.
+fn for_each_key(name: &str, cfg: &BlockingConfig, mut f: impl FnMut(&str)) {
     for token in name.split(|c: char| !c.is_alphanumeric()) {
         if token.is_empty() {
             continue;
         }
         let token = token.to_lowercase();
         if cfg.index_trigrams {
-            let chars: Vec<char> = token.chars().collect();
-            if chars.len() >= 3 {
-                for w in chars.windows(3) {
-                    keys.push(w.iter().collect());
+            // Char boundaries b_0 < b_1 < … < b_n; trigram w ends at b_w
+            // and starts at b_{w-3}, kept in a ring of three.
+            let mut starts = [0usize; 3];
+            let mut chars = 0;
+            let bounds = token.char_indices().map(|(b, _)| b);
+            for (w, b) in bounds.chain(std::iter::once(token.len())).enumerate() {
+                if w >= 3 {
+                    f(&token[starts[w % 3]..b]);
                 }
-            } else {
-                keys.push(token.clone());
+                starts[w % 3] = b;
+                chars = w;
+            }
+            if chars < 3 {
+                f(&token);
             }
         }
         if cfg.index_tokens {
-            keys.push(token);
+            f(&token);
         }
     }
+}
+
+/// The blocking keys of one name under `cfg`: lowercase tokens and/or
+/// character trigrams, sorted and deduplicated. Public so the incremental
+/// path can tell which source rows share a key with an edited target name.
+pub fn keys_of(name: &str, cfg: &BlockingConfig) -> Vec<String> {
+    let mut keys = Vec::new();
+    for_each_key(name, cfg, |key| keys.push(key.to_owned()));
     keys.sort_unstable();
     keys.dedup();
     keys
 }
 
-/// Compute the string similarity matrix with inverted-index blocking.
-///
-/// Cells whose names share fewer than `min_shared_keys` index keys are
-/// left at 0 (never scored). Returns the matrix and the blocking
-/// statistics.
-pub fn blocked_string_similarity_matrix<S: AsRef<str>, T: AsRef<str>>(
-    sources: &[S],
-    targets: &[T],
-    cfg: &BlockingConfig,
-) -> (SimilarityMatrix, BlockingStats) {
-    assert!(
-        cfg.index_tokens || cfg.index_trigrams,
-        "blocking needs at least one key kind enabled"
-    );
-    // Inverted index over target names.
-    let mut index: HashMap<String, Vec<u32>> = HashMap::new();
-    for (j, t) in targets.iter().enumerate() {
-        for key in keys_of(t.as_ref(), cfg) {
-            index.entry(key).or_default().push(j as u32);
-        }
-    }
-
-    let n = sources.len();
-    let m = targets.len();
-    let mut out = Matrix::zeros(n, m);
-    let mut pairs_scored = 0usize;
-    let mut shared: HashMap<u32, usize> = HashMap::new();
-    for (i, s) in sources.iter().enumerate() {
-        shared.clear();
-        for key in keys_of(s.as_ref(), cfg) {
-            if let Some(posting) = index.get(&key) {
-                for &j in posting {
-                    *shared.entry(j).or_insert(0) += 1;
-                }
-            }
-        }
-        for (&j, &count) in &shared {
-            if count >= cfg.min_shared_keys {
-                out[(i, j as usize)] = levenshtein_ratio(s.as_ref(), targets[j as usize].as_ref());
-                pairs_scored += 1;
-            }
-        }
-    }
-    (
-        SimilarityMatrix::new(out),
-        BlockingStats {
-            pairs_scored,
-            pairs_total: n * m,
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::levenshtein::string_similarity_matrix;
+    use crate::levenshtein::{name_chars, string_similarity_matrix, LcsPattern};
+    use crate::store::SparseTopK;
+
+    /// Name lists of one generated mono-lingual benchmark's test split.
+    fn realistic_names() -> (Vec<String>, Vec<String>) {
+        let ds = ceaff_datagen::Preset::SrprsDbpWd.generate(0.2);
+        let own = |names: Vec<&str>| names.into_iter().map(str::to_owned).collect();
+        (own(ds.test_source_names()), own(ds.test_target_names()))
+    }
+
+    /// The blocked string store: `lev*` ratios on the candidate pairs.
+    fn string_store(s: &[&str], t: &[&str], cands: &CandidateSet, k: usize) -> SparseTopK {
+        let tc = name_chars(t);
+        SparseTopK::from_candidates(cands, k, |i| {
+            let mut pattern = LcsPattern::new(s[i]);
+            let tc = &tc;
+            move |j| pattern.ratio(&tc[j as usize])
+        })
+    }
 
     #[test]
     fn keys_include_tokens_and_trigrams() {
@@ -329,22 +400,35 @@ mod tests {
         assert!(keys.contains(&"york".to_string()));
         assert!(keys.contains(&"yor".to_string()));
         assert!(keys.contains(&"ork".to_string()));
+        // Short tokens index whole; trigrams of non-ASCII tokens are
+        // whole characters.
+        assert_eq!(keys_of("Ab, Čćd-北", &cfg), ["ab", "čćd", "北"]);
+        assert_eq!(keys_of("Émile", &cfg), ["ile", "mil", "émi", "émile"]);
     }
 
     #[test]
     fn scored_cells_match_the_dense_matrix() {
         let s = ["New York City", "Berlin", "Tokyo Tower"];
         let t = ["New York", "Berlin (city)", "Kyoto"];
-        let (blocked, stats) = blocked_string_similarity_matrix(&s, &t, &BlockingConfig::default());
+        let cands = build_candidates(&s, &t, &BlockingConfig::default(), 10);
+        let blocked = string_store(&s, &t, &cands, 10);
         let dense = string_similarity_matrix(&s, &t);
         for i in 0..3 {
-            for j in 0..3 {
-                let b = blocked.get(i, j);
-                if b > 0.0 {
-                    assert!((b - dense.get(i, j)).abs() < 1e-6, "cell ({i},{j})");
-                }
+            let (cols, scores) = blocked.row_entries(i);
+            assert_eq!(
+                cols.len(),
+                cands.row(i).len(),
+                "row {i} keeps every candidate"
+            );
+            for (&j, &v) in cols.iter().zip(scores) {
+                assert_eq!(
+                    v.to_bits(),
+                    dense.get(i, j as usize).to_bits(),
+                    "cell ({i},{j})"
+                );
             }
         }
+        let stats = cands.stats();
         assert!(stats.pairs_scored < stats.pairs_total);
         assert!(stats.scored_fraction() < 1.0);
     }
@@ -354,7 +438,8 @@ mod tests {
         // Typo'd counterparts still share most trigrams.
         let s = ["gavora benatil", "triskel dromvou"];
         let t = ["gavora bentail", "triskel dromvuo"];
-        let (m, _) = blocked_string_similarity_matrix(&s, &t, &BlockingConfig::default());
+        let cands = build_candidates(&s, &t, &BlockingConfig::default(), 10);
+        let m = string_store(&s, &t, &cands, 10);
         assert!(
             m.get(0, 0) > 0.7,
             "typo pair must be scored: {}",
@@ -365,27 +450,21 @@ mod tests {
 
     #[test]
     fn disjoint_scripts_are_never_candidates() {
-        let s = ["gavora"];
-        let t = ["佢丗凋"];
-        let (m, stats) = blocked_string_similarity_matrix(&s, &t, &BlockingConfig::default());
-        assert_eq!(m.get(0, 0), 0.0);
-        assert_eq!(stats.pairs_scored, 0);
+        let cands = build_candidates(&["gavora"], &["佢丗凋"], &BlockingConfig::default(), 10);
+        assert!(cands.is_empty());
+        assert_eq!(cands.stats().pairs_scored, 0);
     }
 
     #[test]
     fn blocking_prunes_most_of_a_realistic_cross_product() {
-        let ds = ceaff_datagen::Preset::SrprsDbpWd.generate(0.2);
-        let s: Vec<String> = ds
-            .test_source_names()
-            .into_iter()
-            .map(str::to_owned)
-            .collect();
-        let t: Vec<String> = ds
-            .test_target_names()
-            .into_iter()
-            .map(str::to_owned)
-            .collect();
-        let (m, stats) = blocked_string_similarity_matrix(&s, &t, &BlockingConfig::default());
+        let (s, t) = realistic_names();
+        let (s, t): (Vec<&str>, Vec<&str>) = (
+            s.iter().map(String::as_str).collect(),
+            t.iter().map(String::as_str).collect(),
+        );
+        // Uncapped: every row keeps all of its candidates.
+        let cands = build_candidates(&s, &t, &BlockingConfig::default(), t.len());
+        let stats = cands.stats();
         assert!(
             stats.scored_fraction() < 0.5,
             "blocking should prune over half the cross product: {}",
@@ -393,6 +472,7 @@ mod tests {
         );
         // And it must not lose the ground truth: the diagonal stays the
         // row maximum for almost all mono-lingual rows.
+        let m = string_store(&s, &t, &cands, t.len());
         let n = m.sources();
         let hits = (0..n).filter(|&i| m.row_argmax(i) == Some(i)).count();
         assert!(
@@ -409,45 +489,37 @@ mod tests {
             pairs_total: 0,
         };
         assert_eq!(empty.scored_fraction(), 0.0);
-        let (_, stats) =
-            blocked_string_similarity_matrix::<&str, &str>(&[], &[], &BlockingConfig::default());
+        let stats = build_candidates::<&str, &str>(&[], &[], &BlockingConfig::default(), 1).stats();
         assert_eq!(stats.pairs_total, 0);
         assert_eq!(stats.scored_fraction(), 0.0);
     }
 
     #[test]
-    fn candidate_set_matches_the_blocked_matrix_support() {
+    fn uncapped_candidates_are_the_shared_key_support() {
         let s = ["New York City", "Berlin", "Tokyo Tower"];
         let t = ["New York", "Berlin (city)", "Kyoto"];
         let cfg = BlockingConfig::default();
         let cands = build_candidates(&s, &t, &cfg, 10);
-        let (blocked, stats) = blocked_string_similarity_matrix(&s, &t, &cfg);
-        for i in 0..3 {
-            for j in 0..3 {
+        for (i, name) in s.iter().enumerate() {
+            let keys = keys_of(name, &cfg);
+            for (j, target) in t.iter().enumerate() {
+                let shared = keys_of(target, &cfg)
+                    .iter()
+                    .filter(|key| keys.contains(key))
+                    .count();
                 assert_eq!(
                     cands.contains(i, j),
-                    blocked.get(i, j) > 0.0,
+                    shared >= cfg.min_shared_keys,
                     "cell ({i},{j})"
                 );
             }
         }
-        assert_eq!(cands.stats(), stats);
-        assert_eq!(cands.len(), stats.pairs_scored);
+        assert_eq!(cands.len(), cands.stats().pairs_scored);
     }
 
     #[test]
     fn candidate_cap_keeps_rows_bounded_and_deterministic() {
-        let ds = ceaff_datagen::Preset::SrprsDbpWd.generate(0.2);
-        let s: Vec<String> = ds
-            .test_source_names()
-            .into_iter()
-            .map(str::to_owned)
-            .collect();
-        let t: Vec<String> = ds
-            .test_target_names()
-            .into_iter()
-            .map(str::to_owned)
-            .collect();
+        let (s, t) = realistic_names();
         let cfg = BlockingConfig::default();
         let capped = build_candidates(&s, &t, &cfg, 5);
         for i in 0..capped.sources() {
@@ -478,17 +550,7 @@ mod tests {
     fn recall_counts_surviving_gold_pairs() {
         // Gold is the diagonal of a mono-lingual benchmark: blocking must
         // keep almost all of it.
-        let ds = ceaff_datagen::Preset::SrprsDbpWd.generate(0.2);
-        let s: Vec<String> = ds
-            .test_source_names()
-            .into_iter()
-            .map(str::to_owned)
-            .collect();
-        let t: Vec<String> = ds
-            .test_target_names()
-            .into_iter()
-            .map(str::to_owned)
-            .collect();
+        let (s, t) = realistic_names();
         let cands = build_candidates(&s, &t, &BlockingConfig::default(), 50);
         let gold: Vec<(usize, usize)> = (0..s.len()).map(|i| (i, i)).collect();
         let recall = cands.recall_of(&gold);
@@ -504,6 +566,123 @@ mod tests {
             index_trigrams: false,
             min_shared_keys: 1,
         };
-        let _ = blocked_string_similarity_matrix(&["a"], &["b"], &cfg);
+        let _ = build_candidates(&["a"], &["b"], &cfg, 1);
+    }
+}
+
+/// Parity of the interned, dense-counter index with the `HashMap` index
+/// it replaced.
+#[cfg(test)]
+mod parity {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The previous `candidate_row`: a `HashMap` from key string to
+    /// postings, a `HashMap` of shared-key counts per row, and a full sort.
+    fn reference_rows<S: AsRef<str>, T: AsRef<str>>(
+        sources: &[S],
+        targets: &[T],
+        cfg: &BlockingConfig,
+        k: usize,
+    ) -> Vec<Vec<u32>> {
+        let mut index: HashMap<String, Vec<u32>> = HashMap::new();
+        for (j, t) in targets.iter().enumerate() {
+            for key in keys_of(t.as_ref(), cfg) {
+                index.entry(key).or_default().push(j as u32);
+            }
+        }
+        sources
+            .iter()
+            .map(|s| {
+                let mut shared: HashMap<u32, usize> = HashMap::new();
+                for key in keys_of(s.as_ref(), cfg) {
+                    if let Some(posting) = index.get(&key) {
+                        for &j in posting {
+                            *shared.entry(j).or_insert(0) += 1;
+                        }
+                    }
+                }
+                let mut ranked: Vec<(u32, usize)> = shared
+                    .into_iter()
+                    .filter(|&(_, count)| count >= cfg.min_shared_keys)
+                    .collect();
+                ranked.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+                ranked.truncate(k);
+                let mut cols: Vec<u32> = ranked.into_iter().map(|(j, _)| j).collect();
+                cols.sort_unstable();
+                cols
+            })
+            .collect()
+    }
+
+    fn configs() -> Vec<BlockingConfig> {
+        let mut out = Vec::new();
+        for min_shared_keys in [1, 2, 3] {
+            for (index_tokens, index_trigrams) in [(true, true), (true, false), (false, true)] {
+                out.push(BlockingConfig {
+                    min_shared_keys,
+                    index_tokens,
+                    index_trigrams,
+                });
+            }
+        }
+        out
+    }
+
+    fn check<S: AsRef<str> + Sync, T: AsRef<str> + Sync>(
+        s: &[S],
+        t: &[T],
+    ) -> Result<(), TestCaseError> {
+        for cfg in configs() {
+            for k in [1, 3, 50] {
+                let want = CandidateSet::from_rows(t.len(), reference_rows(s, t, &cfg, k));
+                let got = build_candidates(s, t, &cfg, k);
+                prop_assert_eq!(&got, &want, "cfg={cfg:?} k={k}");
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn parity_on_a_realistic_benchmark_at_1_and_8_threads() {
+        let ds = ceaff_datagen::Preset::SrprsDbpWd.generate(0.2);
+        let (s, t) = (ds.test_source_names(), ds.test_target_names());
+        assert!(s.len() >= 64, "large enough to fan rows out to the pool");
+        for threads in [1, 8] {
+            ceaff_parallel::with_threads(threads, || check(&s, &t)).unwrap();
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Tiny alphabets make shared-key counts collide, so the
+        /// (count desc, column asc) tie-break decides most kept sets.
+        #[test]
+        fn parity_with_ties(
+            s in proptest::collection::vec("[ab c]{0,10}", 0..12),
+            t in proptest::collection::vec("[ab c]{0,10}", 0..12),
+        ) {
+            check(&s, &t)?;
+        }
+
+        #[test]
+        fn parity_unicode(
+            s in proptest::collection::vec("[aÉéσΣ北京 -]{0,12}", 0..10),
+            t in proptest::collection::vec("[aÉéσΣ北京 -]{0,12}", 0..10),
+        ) {
+            check(&s, &t)?;
+        }
+
+        /// Past the 64-row threshold rows fan out to the pool; the set is
+        /// the same at 1 and 8 threads.
+        #[test]
+        fn parity_at_1_and_8_threads(
+            s in proptest::collection::vec("[abcd ]{0,14}", 64..90),
+            t in proptest::collection::vec("[abcd ]{0,14}", 0..70),
+        ) {
+            ceaff_parallel::with_threads(1, || check(&s, &t))?;
+            ceaff_parallel::with_threads(8, || check(&s, &t))?;
+        }
     }
 }

@@ -204,25 +204,27 @@ impl SparseTopK {
     }
 
     /// Score a fixed candidate structure: row `i` keeps the `k` best of
-    /// `candidates.row(i)` under `score`. Rows fan out across the pool;
-    /// each row is scored, sorted and truncated sequentially, so the
-    /// result is bitwise-identical at any thread count.
-    pub fn from_candidates<F>(
+    /// `candidates.row(i)` under `row_score(i)`, a per-row scorer of
+    /// columns. The row hook lets a feature set up per-row state once (the
+    /// string feature builds its [`LcsPattern`](crate::LcsPattern) there)
+    /// instead of per cell. Rows fan out across the pool; each row is
+    /// scored, sorted and truncated sequentially, so the result is
+    /// bitwise-identical at any thread count.
+    pub fn from_candidates<R, G>(
         candidates: &crate::blocking::CandidateSet,
         k: usize,
-        score: F,
+        row_score: R,
     ) -> Self
     where
-        F: Fn(usize, u32) -> f32 + Sync,
+        R: Fn(usize) -> G + Sync,
+        G: FnMut(u32) -> f32,
     {
         assert!(k > 0, "SparseTopK needs k >= 1");
         let sources = candidates.sources();
         let build = |i: usize| -> Vec<(u32, f32)> {
-            let mut row: Vec<(u32, f32)> = candidates
-                .row(i)
-                .iter()
-                .map(|&j| (j, score(i, j)))
-                .collect();
+            let mut score = row_score(i);
+            let mut row: Vec<(u32, f32)> =
+                candidates.row(i).iter().map(|&j| (j, score(j))).collect();
             sort_row_canonical(&mut row);
             row.truncate(k);
             row
