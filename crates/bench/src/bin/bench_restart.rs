@@ -28,6 +28,7 @@
 use ceaff::datagen::{evolve, EvolveConfig, Preset};
 use ceaff::sim::SimStore;
 use ceaff::Telemetry;
+use ceaff_bench::median;
 use ceaff_core::ExecBudget;
 use ceaff_server::{LoadOptions, WalOptions, WarmState};
 use rand::SeedableRng;
@@ -222,18 +223,6 @@ fn bench_mode(
         "replayed_cold": replayed_cold,
         "parity_bitwise": true,
     })
-}
-
-/// Nearest-rank percentile of an unsorted sample, in place.
-fn percentile(samples: &mut [f64], q: f64) -> f64 {
-    assert!(!samples.is_empty());
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timing"));
-    let rank = ((samples.len() as f64 * q).ceil() as usize).clamp(1, samples.len());
-    samples[rank - 1]
-}
-
-fn median(samples: &mut [f64]) -> f64 {
-    percentile(samples, 0.5)
 }
 
 /// Validate a restart-bench report; first problem as a readable message.

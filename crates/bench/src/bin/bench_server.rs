@@ -19,6 +19,7 @@
 //!   on how fast the host drains the queue. Zero sheds on a fast host is
 //!   the honest result, not a bug.
 
+use ceaff_bench::{median, percentile};
 use ceaff_core::{MatcherKind, Telemetry};
 use ceaff_server::{Client, ClientConfig, Server, ServerConfig, WarmState};
 use ceaff_sim::{SimStore, SimilarityMatrix};
@@ -141,19 +142,6 @@ fn run_round(addr: &str, requests: &[Req], concurrency: usize) -> RoundStats {
         }
     });
     stats.into_inner().expect("stats lock")
-}
-
-/// Nearest-rank percentile of an unsorted sample, in place.
-fn percentile(samples: &mut [f64], q: f64) -> f64 {
-    assert!(!samples.is_empty());
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite latency"));
-    let rank = ((samples.len() as f64 * q).ceil() as usize).clamp(1, samples.len());
-    samples[rank - 1]
-}
-
-/// Median of an unsorted sample, in place.
-fn median(samples: &mut [f64]) -> f64 {
-    percentile(samples, 0.5)
 }
 
 fn bench_level(concurrency: usize, reps: usize, total_requests: usize) -> Value {

@@ -276,9 +276,35 @@ pub fn maybe_write_json(opts: &HarnessOpts, experiment: &str, value: &serde_json
     }
 }
 
+/// The `q`-quantile of a sample by the nearest-rank rule, sorting the
+/// sample in place.
+///
+/// # Panics
+/// On an empty sample or a NaN value.
+pub fn percentile(samples: &mut [f64], q: f64) -> f64 {
+    assert!(!samples.is_empty());
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("finite sample"));
+    let rank = ((samples.len() as f64 * q).ceil() as usize).clamp(1, samples.len());
+    samples[rank - 1]
+}
+
+/// Median of an unsorted sample, in place.
+pub fn median(samples: &mut [f64]) -> f64 {
+    percentile(samples, 0.5)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn percentile_takes_the_nearest_rank() {
+        let mut s = [5.0, 1.0, 4.0, 2.0, 3.0];
+        assert_eq!(median(&mut s), 3.0);
+        assert_eq!(percentile(&mut s, 0.99), 5.0);
+        assert_eq!(percentile(&mut s, 0.0), 1.0);
+        assert_eq!(median(&mut [7.0, 8.0]), 7.0);
+    }
 
     #[test]
     fn roster_is_complete_and_ordered() {

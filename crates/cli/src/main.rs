@@ -663,7 +663,8 @@ fn cmd_align(args: &Args) {
     let result = match (args.get("checkpoint-dir"), args.has_switch("resume")) {
         (Some(ckdir), true) => {
             eprintln!("resuming from {ckdir}");
-            ceaff::resume_from_with_budget(ckdir, &input, &budget)
+            ceaff::Checkpointer::open(ckdir)
+                .and_then(|(ck, cfg)| ceaff::run(&input, &cfg, &budget, Some(&ck)))
         }
         (Some(ckdir), false) => {
             let every = args.get_parsed("checkpoint-every", 10usize);
@@ -673,10 +674,12 @@ fn cmd_align(args: &Args) {
                 ceaff::CheckpointPolicy::EveryNEpochs(every)
             };
             eprintln!("checkpointing to {ckdir}");
-            ceaff::try_run_checkpointed_with_budget(&input, &cfg, ckdir, policy, &budget)
+            cfg.validate()
+                .and_then(|()| ceaff::Checkpointer::create(ckdir, policy, &cfg))
+                .and_then(|ck| ceaff::run(&input, &cfg, &budget, Some(&ck)))
         }
         // `--resume` without `--checkpoint-dir` was rejected up front.
-        (None, _) => ceaff::try_run_with_budget(&input, &cfg, &budget),
+        (None, _) => ceaff::run(&input, &cfg, &budget, None),
     };
     let out = result.unwrap_or_else(|e| {
         eprintln!("error: {e}");

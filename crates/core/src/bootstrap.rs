@@ -154,19 +154,6 @@ pub fn try_run_bootstrapped(
     })
 }
 
-/// Deprecated panicking shim over [`try_run_bootstrapped`].
-///
-/// # Panics
-/// Panics when `boot.rounds == 0` or on an invalid configuration.
-#[deprecated(since = "0.1.0", note = "use `try_run_bootstrapped` instead")]
-pub fn run_bootstrapped(
-    input: &EaInput<'_>,
-    cfg: &CeaffConfig,
-    boot: &BootstrapConfig,
-) -> BootstrapOutput {
-    try_run_bootstrapped(input, cfg, boot).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Clone `pair` with `extra` appended to its seed list (test split kept).
 fn augment_seeds(pair: &KgPair, extra: &[(EntityId, EntityId)]) -> KgPair {
     let mut seeds = pair.seeds().to_vec();
@@ -278,24 +265,6 @@ mod tests {
         .unwrap_err();
         assert!(matches!(err, CeaffError::InvalidConfig(_)));
         assert!(err.to_string().contains("at least one round"));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    #[should_panic(expected = "at least one round")]
-    fn deprecated_shim_panics_on_zero_rounds() {
-        let ds = dataset();
-        let src = ds.source_embedder(16);
-        let tgt = ds.target_embedder(16);
-        let input = EaInput::new(&ds.pair, &src, &tgt);
-        let _ = run_bootstrapped(
-            &input,
-            &fast_cfg(),
-            &BootstrapConfig {
-                rounds: 0,
-                ..BootstrapConfig::default()
-            },
-        );
     }
 
     #[test]

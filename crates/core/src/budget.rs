@@ -27,10 +27,10 @@
 //!   polled at sequential granule boundaries, never inside parallel
 //!   kernels, so the degraded output is reproducible.
 //!
-//! The unconstrained budget ([`ExecBudget::unlimited`]) is free: every
-//! entry point short-circuits to the exact pre-budget code path, so the
-//! output is bitwise-identical to a run without budgets at any thread
-//! count.
+//! The unconstrained budget ([`ExecBudget::unlimited`]) is free: it
+//! installs no probe and no memory cap, never refuses a step and emits no
+//! counters, so the one pipeline body dispatches every kernel exactly as
+//! a run without budgets would, bitwise-identically at any thread count.
 
 use crate::error::CeaffError;
 use ceaff_telemetry::{Degradation, Telemetry};
@@ -350,16 +350,17 @@ pub struct BudgetScope {
     _probe_guard: Option<ceaff_parallel::CancelProbeGuard>,
 }
 
-/// Suppress the kernel-level cancel probe on this thread until the
-/// returned guard drops. Used around short, *non-degradable* parallel
-/// computations (fusion, CSLS, the semantic/string features): a probe
-/// firing mid-kernel leaves partially-written buffers, which degradable
-/// stages (GCN epochs, matchers) detect and discard — but a stage whose
-/// output feeds the rest of the run unconditionally must instead finish
-/// its kernels and let the next *boundary* check observe the stop.
+/// Clear the kernel-level cancel probe on this thread until the returned
+/// guard drops, so kernels dispatch exactly as with no budget installed.
+/// Used around short, *non-degradable* parallel computations (blocking,
+/// fusion, CSLS, the semantic/string features): a probe firing mid-kernel
+/// leaves partially-written buffers, which degradable stages (GCN
+/// epochs, matchers) detect and discard — but a stage whose output feeds
+/// the rest of the run unconditionally must instead finish its kernels
+/// and let the next *boundary* check observe the stop.
 #[must_use = "the probe is re-armed when the guard drops"]
 pub fn uninterruptible_scope() -> ceaff_parallel::CancelProbeGuard {
-    ceaff_parallel::install_cancel_probe(Arc::new(|| false))
+    ceaff_parallel::clear_cancel_probe()
 }
 
 #[cfg(test)]

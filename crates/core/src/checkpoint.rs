@@ -18,7 +18,10 @@
 //! values as raw bits), so floating-point state round-trips exactly.
 
 use crate::error::CeaffError;
+use crate::features::{Feature, SemanticFeature, StringFeature, StructuralFeature};
 use crate::pipeline::CeaffConfig;
+use ceaff_graph::KgPair;
+use ceaff_sim::SimilarityMatrix;
 use ceaff_tensor::{Matrix, OptimSlot, OptimState};
 use serde::{Deserialize, Serialize};
 use std::path::{Path, PathBuf};
@@ -37,11 +40,10 @@ pub const STAGE_SEMANTIC: &str = "stage_semantic.bin";
 /// Completed string-stage artifact.
 pub const STAGE_STRING: &str = "stage_string.bin";
 
-/// When checkpoints are written during a run.
+/// When checkpoints are written during a run (a run without a
+/// [`Checkpointer`] writes none).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CheckpointPolicy {
-    /// No checkpointing (the default for plain `try_run`).
-    Off,
     /// Save each pipeline stage's output when the stage completes.
     PerStage,
     /// Per-stage outputs *plus* the GCN training state every `N` epochs,
@@ -418,7 +420,7 @@ impl Checkpointer {
             }
         }
         // (Re)write the envelope so the latest policy is what a later
-        // `resume_from` picks up.
+        // `Checkpointer::open` picks up.
         let envelope = ConfigEnvelope {
             version: FORMAT_VERSION,
             policy,
@@ -436,7 +438,8 @@ impl Checkpointer {
     }
 
     /// Open an existing run directory, recovering the configuration and
-    /// policy it was created with (the `resume_from` entry point).
+    /// policy it was created with. Resuming is
+    /// `run(input, &cfg, budget, Some(&ck))` with the returned pair.
     pub fn open(dir: impl AsRef<Path>) -> Result<(Self, CeaffConfig), CeaffError> {
         let dir = dir.as_ref().to_path_buf();
         let envelope = Self::read_envelope(&dir.join("config.json"))?;
@@ -715,58 +718,79 @@ pub(crate) fn decode_train_state(bytes: &[u8]) -> Result<GcnTrainState, String> 
 // Stage-output artifacts
 // ---------------------------------------------------------------------------
 
-/// Encode a structural-stage result: normalized embeddings, the test
-/// similarity matrix, and the loss curve — everything
-/// `StructuralFeature::from_saved_parts` needs.
-pub(crate) fn encode_structural(
-    z_source: &Matrix,
-    z_target: &Matrix,
-    test: &Matrix,
-    loss_curve: &[f32],
-) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.matrix(z_source);
-    w.matrix(z_target);
-    w.matrix(test);
-    w.f32s(loss_curve);
-    w.into_bytes()
+/// A feature whose completed stage output is saved to, and restored
+/// verbatim from, a run directory. Artifacts hold the *normalised*
+/// matrices, so a restored stage is bit-identical to the run that saved
+/// it and no floating-point operation is repeated on resume.
+pub(crate) trait StageArtifact: Sized {
+    /// The artifact's file name in the run directory.
+    const FILE: &'static str;
+    /// An in-flight artifact the completed stage makes obsolete.
+    const SUPERSEDES: Option<&'static str> = None;
+    /// Serialize the completed stage.
+    fn encode(&self) -> Vec<u8>;
+    /// Rebuild the stage from its artifact.
+    fn decode(bytes: &[u8], pair: &KgPair) -> Result<Self, String>;
 }
 
-pub(crate) fn decode_structural(
-    bytes: &[u8],
-) -> Result<(Matrix, Matrix, Matrix, Vec<f32>), String> {
-    let mut r = ByteReader::new(bytes);
-    Ok((r.matrix()?, r.matrix()?, r.matrix()?, r.f32s()?))
+impl StageArtifact for StructuralFeature {
+    const FILE: &'static str = STAGE_STRUCTURAL;
+    const SUPERSEDES: Option<&'static str> = Some(TRAIN_FILE);
+
+    fn encode(&self) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.matrix(self.source_embeddings());
+        w.matrix(self.target_embeddings());
+        w.matrix(self.test_matrix().as_matrix());
+        w.f32s(&self.loss_curve);
+        w.into_bytes()
+    }
+
+    fn decode(bytes: &[u8], _: &KgPair) -> Result<Self, String> {
+        let mut r = ByteReader::new(bytes);
+        let (zs, zt, test) = (r.matrix()?, r.matrix()?, r.matrix()?);
+        let loss_curve = r.f32s()?;
+        Ok(Self::from_saved_parts(
+            zs,
+            zt,
+            SimilarityMatrix::new(test),
+            loss_curve,
+        ))
+    }
 }
 
-/// Encode a semantic- (or any two-embedding-) stage result.
-pub(crate) fn encode_embedding_stage(
-    n_source: &Matrix,
-    n_target: &Matrix,
-    test: &Matrix,
-) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.matrix(n_source);
-    w.matrix(n_target);
-    w.matrix(test);
-    w.into_bytes()
+impl StageArtifact for SemanticFeature {
+    const FILE: &'static str = STAGE_SEMANTIC;
+
+    fn encode(&self) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.matrix(self.source_embeddings());
+        w.matrix(self.target_embeddings());
+        w.matrix(self.test_matrix().as_matrix());
+        w.into_bytes()
+    }
+
+    fn decode(bytes: &[u8], _: &KgPair) -> Result<Self, String> {
+        let mut r = ByteReader::new(bytes);
+        let (ns, nt, test) = (r.matrix()?, r.matrix()?, r.matrix()?);
+        Ok(Self::from_saved_parts(ns, nt, SimilarityMatrix::new(test)))
+    }
 }
 
-pub(crate) fn decode_embedding_stage(bytes: &[u8]) -> Result<(Matrix, Matrix, Matrix), String> {
-    let mut r = ByteReader::new(bytes);
-    Ok((r.matrix()?, r.matrix()?, r.matrix()?))
-}
+/// Only the test matrix is saved; names are rebuilt from the KG pair.
+impl StageArtifact for StringFeature {
+    const FILE: &'static str = STAGE_STRING;
 
-/// Encode a string-stage result (names are rebuilt from the KG pair).
-pub(crate) fn encode_matrix_stage(test: &Matrix) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.matrix(test);
-    w.into_bytes()
-}
+    fn encode(&self) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.matrix(self.test_matrix().as_matrix());
+        w.into_bytes()
+    }
 
-pub(crate) fn decode_matrix_stage(bytes: &[u8]) -> Result<Matrix, String> {
-    let mut r = ByteReader::new(bytes);
-    r.matrix()
+    fn decode(bytes: &[u8], pair: &KgPair) -> Result<Self, String> {
+        let test = ByteReader::new(bytes).matrix()?;
+        Ok(Self::from_saved_parts(pair, SimilarityMatrix::new(test)))
+    }
 }
 
 #[cfg(test)]

@@ -22,7 +22,12 @@ pub use string::StringFeature;
 pub use structural::StructuralFeature;
 
 use ceaff_graph::EntityId;
-use ceaff_sim::{SimStore, SimilarityMatrix};
+use ceaff_sim::{CandidateSet, SimStore, SimilarityMatrix};
+
+/// Which test pairs a feature scores: `None` scores all of them into a
+/// dense store; `Some((candidates, k))` scores only the blocked
+/// candidates into a sparse top-`k` store.
+pub(crate) type Blocked<'a> = Option<(&'a CandidateSet, usize)>;
 
 /// A computed alignment feature.
 pub trait Feature: Send + Sync {

@@ -2,7 +2,7 @@
 //! word-embedding name representations, with cross-lingual names routed
 //! through a shared (MUSE-style) space by the caller's choice of embedders.
 
-use super::Feature;
+use super::{Blocked, Feature};
 use ceaff_embed::{name_embedding_matrix, WordEmbedder};
 use ceaff_graph::{EntityId, KgPair, KnowledgeGraph};
 use ceaff_sim::{cosine_similarity_matrix, CandidateSet, SimStore, SimilarityMatrix, SparseTopK};
@@ -34,26 +34,7 @@ impl SemanticFeature {
         source_embedder: &dyn WordEmbedder,
         target_embedder: &dyn WordEmbedder,
     ) -> Self {
-        assert_eq!(
-            source_embedder.dim(),
-            target_embedder.dim(),
-            "embedders must share one vector space"
-        );
-        let mut n_source = name_embedding_matrix(source_embedder, &all_names(&pair.source));
-        let mut n_target = name_embedding_matrix(target_embedder, &all_names(&pair.target));
-        n_source.l2_normalize_rows();
-        n_target.l2_normalize_rows();
-        let src_idx: Vec<usize> = pair.test_sources().iter().map(|e| e.index()).collect();
-        let tgt_idx: Vec<usize> = pair.test_targets().iter().map(|e| e.index()).collect();
-        let test = SimStore::Dense(cosine_similarity_matrix(
-            &n_source.gather_rows(&src_idx),
-            &n_target.gather_rows(&tgt_idx),
-        ));
-        Self {
-            n_source,
-            n_target,
-            test,
-        }
+        Self::compute_in(pair, source_embedder, target_embedder, None)
     }
 
     /// Like [`SemanticFeature::compute`], but scores only the blocked
@@ -66,6 +47,22 @@ impl SemanticFeature {
         target_embedder: &dyn WordEmbedder,
         candidates: &CandidateSet,
         k: usize,
+    ) -> Self {
+        Self::compute_in(
+            pair,
+            source_embedder,
+            target_embedder,
+            Some((candidates, k)),
+        )
+    }
+
+    /// The one semantic build: embed and normalise every name, then score
+    /// the test pairs `blocked` selects.
+    pub(crate) fn compute_in(
+        pair: &KgPair,
+        source_embedder: &dyn WordEmbedder,
+        target_embedder: &dyn WordEmbedder,
+        blocked: Blocked<'_>,
     ) -> Self {
         assert_eq!(
             source_embedder.dim(),
@@ -80,15 +77,20 @@ impl SemanticFeature {
         let tgt_idx: Vec<usize> = pair.test_targets().iter().map(|e| e.index()).collect();
         let zs = n_source.gather_rows(&src_idx);
         let zt = n_target.gather_rows(&tgt_idx);
-        // Rows are unit-normalised, so the dot product is the cosine.
-        let sparse = SparseTopK::from_candidates(candidates, k, |i| {
-            let (a, zt) = (zs.row(i), &zt);
-            move |j| ceaff_tensor::dot(a, zt.row(j as usize))
-        });
+        let test = match blocked {
+            None => SimStore::Dense(cosine_similarity_matrix(&zs, &zt)),
+            // Rows are unit-normalised, so the dot product is the cosine.
+            Some((candidates, k)) => {
+                SimStore::Sparse(SparseTopK::from_candidates(candidates, k, |i| {
+                    let (a, zt) = (zs.row(i), &zt);
+                    move |j| ceaff_tensor::dot(a, zt.row(j as usize))
+                }))
+            }
+        };
         Self {
             n_source,
             n_target,
-            test: SimStore::Sparse(sparse),
+            test,
         }
     }
 

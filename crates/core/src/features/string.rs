@@ -6,7 +6,7 @@
 //! extremely effective when the two KGs share a script — mono-lingual pairs
 //! and close language pairs (§VII-C, §VII-D).
 
-use super::Feature;
+use super::{Blocked, Feature};
 use ceaff_graph::{EntityId, KgPair};
 use ceaff_sim::{
     levenshtein_ratio, name_chars, string_similarity_matrix, CandidateSet, LcsPattern, SimStore,
@@ -39,23 +39,7 @@ fn kg_names(pair: &KgPair) -> (Vec<String>, Vec<String>) {
 impl StringFeature {
     /// Compute the dense test-set Levenshtein-ratio matrix.
     pub fn compute(pair: &KgPair) -> Self {
-        let (source_names, target_names) = kg_names(pair);
-        let src_test: Vec<&str> = pair
-            .test_sources()
-            .iter()
-            .map(|e| source_names[e.index()].as_str())
-            .collect();
-        let tgt_test: Vec<&str> = pair
-            .test_targets()
-            .iter()
-            .map(|e| target_names[e.index()].as_str())
-            .collect();
-        let test = SimStore::Dense(string_similarity_matrix(&src_test, &tgt_test));
-        Self {
-            source_names,
-            target_names,
-            test,
-        }
+        Self::compute_in(pair, None)
     }
 
     /// Compute a sparse test store scoring only the blocked candidate
@@ -63,6 +47,11 @@ impl StringFeature {
     /// `O(n·t)`, one [`LcsPattern`] per source row against target names
     /// decoded once. Rows keep at most `k` entries in canonical order.
     pub fn compute_blocked(pair: &KgPair, candidates: &CandidateSet, k: usize) -> Self {
+        Self::compute_in(pair, Some((candidates, k)))
+    }
+
+    /// The one string build: score the test pairs `blocked` selects.
+    pub(crate) fn compute_in(pair: &KgPair, blocked: Blocked<'_>) -> Self {
         let (source_names, target_names) = kg_names(pair);
         let src_test: Vec<&str> = pair
             .test_sources()
@@ -74,16 +63,21 @@ impl StringFeature {
             .iter()
             .map(|e| target_names[e.index()].as_str())
             .collect();
-        let tgt_chars = name_chars(&tgt_test);
-        let sparse = SparseTopK::from_candidates(candidates, k, |i| {
-            let mut pattern = LcsPattern::new(src_test[i]);
-            let tgt_chars = &tgt_chars;
-            move |j| pattern.ratio(&tgt_chars[j as usize])
-        });
+        let test = match blocked {
+            None => SimStore::Dense(string_similarity_matrix(&src_test, &tgt_test)),
+            Some((candidates, k)) => {
+                let tgt_chars = name_chars(&tgt_test);
+                SimStore::Sparse(SparseTopK::from_candidates(candidates, k, |i| {
+                    let mut pattern = LcsPattern::new(src_test[i]);
+                    let tgt_chars = &tgt_chars;
+                    move |j| pattern.ratio(&tgt_chars[j as usize])
+                }))
+            }
+        };
         Self {
             source_names,
             target_names,
-            test: SimStore::Sparse(sparse),
+            test,
         }
     }
 

@@ -1,7 +1,7 @@
 //! The structural feature `Ms` (paper §IV-A): cosine similarity of
 //! GCN-encoded entity embeddings.
 
-use super::Feature;
+use super::{Blocked, Feature};
 use crate::budget::ExecBudget;
 use crate::checkpoint::Checkpointer;
 use crate::error::CeaffError;
@@ -36,108 +36,6 @@ impl StructuralFeature {
         Self::from_encoder(pair, encoder)
     }
 
-    /// Fallible, checkpoint-aware variant of
-    /// [`StructuralFeature::compute_traced`]: with a [`Checkpointer`] the
-    /// GCN saves/resumes its training state, and numeric divergence comes
-    /// back as a typed error instead of a panic.
-    pub fn try_compute_traced(
-        pair: &KgPair,
-        cfg: &GcnConfig,
-        telemetry: &Telemetry,
-        checkpointer: Option<&Checkpointer>,
-    ) -> Result<Self, CeaffError> {
-        let encoder = gcn::try_train_traced(pair, cfg, telemetry, checkpointer)?;
-        Ok(Self::from_encoder(pair, encoder))
-    }
-
-    /// [`StructuralFeature::try_compute_traced`] under an execution
-    /// budget: GCN training consumes one budget step per epoch and stops
-    /// early (at the best snapshot so far, with a degradation record)
-    /// when the budget runs out — see
-    /// [`gcn::try_train_budgeted`](crate::gcn::try_train_budgeted).
-    pub fn try_compute_budgeted(
-        pair: &KgPair,
-        cfg: &GcnConfig,
-        telemetry: &Telemetry,
-        checkpointer: Option<&Checkpointer>,
-        budget: &ExecBudget,
-    ) -> Result<Self, CeaffError> {
-        let encoder = gcn::try_train_budgeted(pair, cfg, telemetry, checkpointer, budget)?;
-        Ok(Self::from_encoder(pair, encoder))
-    }
-
-    /// [`StructuralFeature::try_compute_budgeted`] scoring only the
-    /// blocked candidate pairs into a sparse top-k store. Training cost is
-    /// unchanged; the `O(n·t)` pairwise cosine stage shrinks to
-    /// `O(|candidates|)` dot products. No checkpointer: blocked runs are
-    /// cheap to restart and the checkpoint format is dense-only.
-    pub fn try_compute_budgeted_blocked(
-        pair: &KgPair,
-        cfg: &GcnConfig,
-        telemetry: &Telemetry,
-        budget: &ExecBudget,
-        candidates: &CandidateSet,
-        k: usize,
-    ) -> Result<Self, CeaffError> {
-        let encoder = gcn::try_train_budgeted(pair, cfg, telemetry, None, budget)?;
-        Ok(Self::from_encoder_blocked(pair, encoder, candidates, k))
-    }
-
-    /// Build from an already-trained encoder (lets callers reuse one
-    /// training run across ablations).
-    pub fn from_encoder(pair: &KgPair, encoder: GcnEncoder) -> Self {
-        let GcnEncoder {
-            mut z_source,
-            mut z_target,
-            loss_curve,
-        } = encoder;
-        z_source.l2_normalize_rows();
-        z_target.l2_normalize_rows();
-        let src_idx: Vec<usize> = pair.test_sources().iter().map(|e| e.index()).collect();
-        let tgt_idx: Vec<usize> = pair.test_targets().iter().map(|e| e.index()).collect();
-        let zs = z_source.gather_rows(&src_idx);
-        let zt = z_target.gather_rows(&tgt_idx);
-        let test = SimStore::Dense(cosine_similarity_matrix(&zs, &zt));
-        Self {
-            z_source,
-            z_target,
-            test,
-            loss_curve,
-        }
-    }
-
-    /// [`StructuralFeature::from_encoder`], scoring only the blocked
-    /// candidate pairs.
-    pub fn from_encoder_blocked(
-        pair: &KgPair,
-        encoder: GcnEncoder,
-        candidates: &CandidateSet,
-        k: usize,
-    ) -> Self {
-        let GcnEncoder {
-            mut z_source,
-            mut z_target,
-            loss_curve,
-        } = encoder;
-        z_source.l2_normalize_rows();
-        z_target.l2_normalize_rows();
-        let src_idx: Vec<usize> = pair.test_sources().iter().map(|e| e.index()).collect();
-        let tgt_idx: Vec<usize> = pair.test_targets().iter().map(|e| e.index()).collect();
-        let zs = z_source.gather_rows(&src_idx);
-        let zt = z_target.gather_rows(&tgt_idx);
-        // Rows are unit-normalised, so the dot product is the cosine.
-        let sparse = SparseTopK::from_candidates(candidates, k, |i| {
-            let (a, zt) = (zs.row(i), &zt);
-            move |j| ceaff_tensor::dot(a, zt.row(j as usize))
-        });
-        Self {
-            z_source,
-            z_target,
-            test: SimStore::Sparse(sparse),
-            loss_curve,
-        }
-    }
-
     /// [`StructuralFeature::compute_traced`] over a blocked candidate set.
     pub fn compute_traced_blocked(
         pair: &KgPair,
@@ -148,6 +46,79 @@ impl StructuralFeature {
     ) -> Self {
         let encoder = gcn::train_traced(pair, cfg, telemetry);
         Self::from_encoder_blocked(pair, encoder, candidates, k)
+    }
+
+    /// The fallible structural build: GCN training under `budget` (one
+    /// step per epoch, stopping early at the best snapshot with a
+    /// degradation record — see
+    /// [`gcn::try_train_budgeted`](crate::gcn::try_train_budgeted)),
+    /// saving and resuming its training state through `checkpointer`,
+    /// then scoring all test pairs (`blocked = None`) or only the blocked
+    /// candidates into a sparse top-`k` store. Numeric divergence comes
+    /// back as a typed error instead of a panic.
+    pub fn try_compute(
+        pair: &KgPair,
+        cfg: &GcnConfig,
+        telemetry: &Telemetry,
+        checkpointer: Option<&Checkpointer>,
+        budget: &ExecBudget,
+        blocked: Option<(&CandidateSet, usize)>,
+    ) -> Result<Self, CeaffError> {
+        let encoder = gcn::try_train_budgeted(pair, cfg, telemetry, checkpointer, budget)?;
+        Ok(Self::from_encoder_in(pair, encoder, blocked))
+    }
+
+    /// Build from an already-trained encoder (lets callers reuse one
+    /// training run across ablations).
+    pub fn from_encoder(pair: &KgPair, encoder: GcnEncoder) -> Self {
+        Self::from_encoder_in(pair, encoder, None)
+    }
+
+    /// [`StructuralFeature::from_encoder`], scoring only the blocked
+    /// candidate pairs.
+    pub fn from_encoder_blocked(
+        pair: &KgPair,
+        encoder: GcnEncoder,
+        candidates: &CandidateSet,
+        k: usize,
+    ) -> Self {
+        Self::from_encoder_in(pair, encoder, Some((candidates, k)))
+    }
+
+    /// The one scoring body: normalise the encoder's embeddings, then
+    /// score the test pairs `blocked` selects.
+    pub(crate) fn from_encoder_in(
+        pair: &KgPair,
+        encoder: GcnEncoder,
+        blocked: Blocked<'_>,
+    ) -> Self {
+        let GcnEncoder {
+            mut z_source,
+            mut z_target,
+            loss_curve,
+        } = encoder;
+        z_source.l2_normalize_rows();
+        z_target.l2_normalize_rows();
+        let src_idx: Vec<usize> = pair.test_sources().iter().map(|e| e.index()).collect();
+        let tgt_idx: Vec<usize> = pair.test_targets().iter().map(|e| e.index()).collect();
+        let zs = z_source.gather_rows(&src_idx);
+        let zt = z_target.gather_rows(&tgt_idx);
+        let test = match blocked {
+            None => SimStore::Dense(cosine_similarity_matrix(&zs, &zt)),
+            // Rows are unit-normalised, so the dot product is the cosine.
+            Some((candidates, k)) => {
+                SimStore::Sparse(SparseTopK::from_candidates(candidates, k, |i| {
+                    let (a, zt) = (zs.row(i), &zt);
+                    move |j| ceaff_tensor::dot(a, zt.row(j as usize))
+                }))
+            }
+        };
+        Self {
+            z_source,
+            z_target,
+            test,
+            loss_curve,
+        }
     }
 
     /// Rebuild from checkpointed parts without recomputing anything.

@@ -283,7 +283,12 @@ pub trait Matcher {
         }
     }
 
-    /// [`Matcher::matching_budgeted`] over either store backend.
+    /// [`Matcher::matching_budgeted`] over either store backend. Dense
+    /// stores take the dense anytime path; the default for a sparse store
+    /// is the exact [`Matcher::matching_store_traced`], so a row with no
+    /// candidates stays unmatched instead of being assigned a
+    /// non-candidate column of the densified store. Matchers with a
+    /// sparse anytime algorithm override this.
     fn matching_store_budgeted(
         &self,
         s: &SimStore,
@@ -292,7 +297,7 @@ pub trait Matcher {
     ) -> AnytimeOutcome {
         match s {
             SimStore::Dense(m) => self.matching_budgeted(m, budget, telemetry),
-            SimStore::Sparse(sp) => self.matching_budgeted(&sp.to_dense(), budget, telemetry),
+            SimStore::Sparse(_) => AnytimeOutcome::exact(self.matching_store_traced(s, telemetry)),
         }
     }
 
@@ -396,6 +401,32 @@ mod tests {
         assert_eq!(kept.pairs(), &[(0, 0)]);
         // Zero threshold keeps everything.
         assert_eq!(m.filter_by_threshold(&sim, 0.0).len(), 2);
+    }
+
+    #[test]
+    fn budgeted_store_matching_equals_traced_on_a_sparse_store_with_an_empty_row() {
+        // Row 1 has no candidates: no matcher may assign it a column.
+        let rows = vec![vec![(2u32, 0.9f32), (3, 0.1)], vec![], vec![(3, 0.8)]];
+        let store = SimStore::Sparse(SparseTopK::from_rows(4, 2, rows));
+        let off = Telemetry::disabled();
+        let unfired = ExecBudget::unlimited()
+            .with_cancel(crate::budget::CancelToken::new())
+            .with_step_limit(u64::MAX);
+        for kind in [
+            MatcherKind::Greedy,
+            MatcherKind::StableMarriage,
+            MatcherKind::Hungarian,
+            MatcherKind::GreedyOneToOne,
+        ] {
+            let m = kind.build();
+            let traced = m.matching_store_traced(&store, &off);
+            assert_eq!(traced.target_of(1), None, "{kind:?} matched the empty row");
+            for budget in [ExecBudget::unlimited(), unfired.clone()] {
+                let outcome = m.matching_store_budgeted(&store, &budget, &off);
+                assert!(outcome.is_exact(), "{kind:?}");
+                assert_eq!(outcome.matching, traced, "{kind:?} under {budget:?}");
+            }
+        }
     }
 
     #[test]

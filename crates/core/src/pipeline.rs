@@ -2,27 +2,31 @@
 //! adaptive feature fusion → collective EA — with a switch for every
 //! ablation of Table V.
 //!
-//! The fallible entry points ([`try_run`], [`try_run_with_features`],
-//! [`try_run_single_stage`]) return `Result<CeaffOutput, CeaffError>` and
-//! thread a [`Telemetry`] handle through every stage; the produced
-//! [`CeaffOutput::trace`] records stage timings, counters and (with an
-//! active event stream) the full event sequence of the run.
+//! One body per stage: [`FeatureSet::build`] computes the features and
+//! [`run`] runs the whole pipeline, each taking an [`ExecBudget`] and an
+//! optional [`Checkpointer`] as plain arguments; [`try_run`],
+//! [`try_run_with_features`] and [`FeatureSet::compute`] are thin
+//! wrappers over them. Every entry point returns
+//! `Result<CeaffOutput, CeaffError>` and threads a [`Telemetry`] handle
+//! through every stage; the produced [`CeaffOutput::trace`] records stage
+//! timings, counters and (with an active event stream) the full event
+//! sequence of the run.
 
 use crate::budget::{ExecBudget, StopReason};
-use crate::checkpoint::{self, CheckpointPolicy, Checkpointer};
+use crate::checkpoint::{Checkpointer, StageArtifact};
 use crate::error::CeaffError;
 use crate::eval::{accuracy, ranking_metrics_store, RankingMetrics};
-use crate::features::{Feature, SemanticFeature, StringFeature, StructuralFeature};
+use crate::features::{Blocked, Feature, SemanticFeature, StringFeature, StructuralFeature};
 
 use crate::fusion::{
     adaptive_fuse_store, fuse_store, two_stage_fuse_store, FusionConfig, FusionReport,
 };
 use crate::gcn::{GcnConfig, OptimKind};
 use crate::lr::{learn_weights, LrConfig};
-use crate::matching::{MatcherKind, Matching};
+use crate::matching::{AnytimeOutcome, MatcherKind, Matching};
 use ceaff_embed::WordEmbedder;
 use ceaff_graph::KgPair;
-use ceaff_sim::{BlockingConfig, CandidateSet, SimStore, SimilarityMatrix};
+use ceaff_sim::{BlockingConfig, CandidateSet, SimStore};
 use ceaff_telemetry::{Degradation, RunTrace, Telemetry};
 use serde::{Deserialize, Serialize};
 
@@ -543,18 +547,24 @@ pub struct FeatureSet {
     pub extra: Vec<Box<dyn Feature>>,
 }
 
-/// Build the blocked candidate set over the test split's entity names,
-/// under a `"blocking"` telemetry span, and report the blocking gauges:
-/// `blocking/recall` (fraction of diagonal gold pairs surviving blocking —
-/// the recall ceiling of every downstream stage), `blocking/candidates`
-/// (total candidate pairs) and `blocking/scored_fraction` (fraction of
-/// the dense cross product that will be scored).
-pub(crate) fn block_candidates(
+/// The candidate set `cfg` asks for, with its per-row cap (`None` under
+/// [`CandidateStrategy::Dense`]), built once per run over the test
+/// split's entity names under a `"blocking"` span. Reports the blocking
+/// gauges: `blocking/recall` (fraction of diagonal gold pairs surviving
+/// blocking — the recall ceiling of every downstream stage),
+/// `blocking/candidates` (total candidate pairs) and
+/// `blocking/scored_fraction` (fraction of the dense cross product that
+/// will be scored). Blocking is cheap next to any feature and runs
+/// uninterrupted.
+pub(crate) fn candidates_for(
     pair: &KgPair,
-    blocking: &BlockingConfig,
-    k: usize,
+    cfg: &CeaffConfig,
     telemetry: &Telemetry,
-) -> CandidateSet {
+) -> Option<(CandidateSet, usize)> {
+    let CandidateStrategy::Blocked { k, blocking } = &cfg.candidates else {
+        return None;
+    };
+    let _probe_off = crate::budget::uninterruptible_scope();
     let _span = telemetry.span("blocking");
     let src_names: Vec<&str> = pair
         .test_sources()
@@ -566,7 +576,7 @@ pub(crate) fn block_candidates(
         .iter()
         .map(|&e| pair.target.entity_name(e).expect("interned"))
         .collect();
-    let candidates = ceaff_sim::build_candidates(&src_names, &tgt_names, blocking, k);
+    let candidates = ceaff_sim::build_candidates(&src_names, &tgt_names, blocking, *k);
     let gold: Vec<(usize, usize)> = (0..src_names.len().min(tgt_names.len()))
         .map(|i| (i, i))
         .collect();
@@ -578,46 +588,158 @@ pub(crate) fn block_candidates(
         None,
         candidates.stats().scored_fraction(),
     );
-    candidates
+    Some((candidates, *k))
 }
 
-/// Compute the structural feature under the configured encoder mode:
-/// GCN training for [`StructuralMode::Trained`], the deterministic
-/// propagation encoder (timed under a `"propagation"` span) for
+/// The semantic feature over `blocked`, under a `"semantic"` span. Its
+/// output feeds fusion unconditionally, so its kernels run uninterrupted.
+pub(crate) fn semantic_stage(input: &EaInput<'_>, blocked: Blocked<'_>) -> SemanticFeature {
+    let _probe_off = crate::budget::uninterruptible_scope();
+    let _span = input.telemetry.span("semantic");
+    SemanticFeature::compute_in(
+        input.pair,
+        input.source_embedder,
+        input.target_embedder,
+        blocked,
+    )
+}
+
+/// The string feature over `blocked`, under a `"string"` span; runs
+/// uninterrupted like [`semantic_stage`].
+pub(crate) fn string_stage(input: &EaInput<'_>, blocked: Blocked<'_>) -> StringFeature {
+    let _probe_off = crate::budget::uninterruptible_scope();
+    let _span = input.telemetry.span("string");
+    StringFeature::compute_in(input.pair, blocked)
+}
+
+/// The structural feature under the configured encoder mode: budgeted,
+/// checkpoint-aware GCN training for [`StructuralMode::Trained`]; the
+/// deterministic propagation encoder (under a `"propagation"` span, with
+/// no epoch granularity to meter, so uninterrupted) for
 /// [`StructuralMode::Propagation`].
-fn compute_structural(
+fn structural_stage(
     input: &EaInput<'_>,
     cfg: &CeaffConfig,
-    telemetry: &Telemetry,
-    blocked: Option<(&CandidateSet, usize)>,
-) -> StructuralFeature {
+    blocked: Blocked<'_>,
+    checkpointer: Option<&Checkpointer>,
+    budget: &ExecBudget,
+) -> Result<StructuralFeature, CeaffError> {
     match cfg.structural {
-        StructuralMode::Trained => match blocked {
-            None => StructuralFeature::compute_traced(input.pair, &cfg.gcn, telemetry),
-            Some((cands, k)) => {
-                StructuralFeature::compute_traced_blocked(input.pair, &cfg.gcn, telemetry, cands, k)
-            }
-        },
+        StructuralMode::Trained => StructuralFeature::try_compute(
+            input.pair,
+            &cfg.gcn,
+            &input.telemetry,
+            checkpointer,
+            budget,
+            blocked,
+        ),
         StructuralMode::Propagation { layers } => {
-            let _span = telemetry.span("propagation");
+            let _probe_off = crate::budget::uninterruptible_scope();
+            let _span = input.telemetry.span("propagation");
             let encoder = crate::propagation::encode(input.pair, cfg.gcn.dim, layers);
-            match blocked {
-                None => StructuralFeature::from_encoder(input.pair, encoder),
-                Some((cands, k)) => {
-                    StructuralFeature::from_encoder_blocked(input.pair, encoder, cands, k)
-                }
-            }
+            Ok(StructuralFeature::from_encoder_in(
+                input.pair, encoder, blocked,
+            ))
         }
     }
 }
 
+/// Budget and checkpoint bookkeeping across the feature stages of one
+/// [`FeatureSet::build`].
+struct StageGate<'a> {
+    budget: &'a ExecBudget,
+    telemetry: &'a Telemetry,
+    computed: usize,
+    skipped: usize,
+    stop: Option<StopReason>,
+}
+
+impl StageGate<'_> {
+    /// Produce one feature stage. A stage whose verified artifact is in
+    /// the run directory is restored without recomputation and without a
+    /// budget step (`checkpoint/stages_resumed`). Otherwise the first
+    /// stage always runs — a run with no feature could only fail — and
+    /// each later one consumes a budget step; a refused stage is skipped.
+    /// A stage that runs saves its artifact (`checkpoint/stages_saved`)
+    /// unless the budget has stopped the run: output cut short must not
+    /// masquerade as a completed artifact.
+    fn stage<F: StageArtifact>(
+        &mut self,
+        checkpointer: Option<&Checkpointer>,
+        pair: &KgPair,
+        compute: impl FnOnce() -> Result<F, CeaffError>,
+    ) -> Result<Option<F>, CeaffError> {
+        if let Some(bytes) = checkpointer
+            .map(|ck| ck.load(F::FILE))
+            .transpose()?
+            .flatten()
+        {
+            let f = F::decode(&bytes, pair).map_err(|reason| CeaffError::Checkpoint {
+                file: F::FILE.to_owned(),
+                reason,
+            })?;
+            self.telemetry
+                .counter_add("checkpoint", "stages_resumed", 1);
+            self.computed += 1;
+            return Ok(Some(f));
+        }
+        if self.computed > 0 && self.stop.is_none() {
+            self.stop = self.budget.consume_step();
+        }
+        if self.stop.is_some() {
+            self.skipped += 1;
+            return Ok(None);
+        }
+        self.budget.check_mem("features")?;
+        let f = compute()?;
+        self.computed += 1;
+        if let Some(ck) = checkpointer.filter(|_| self.budget.stop_reason().is_none()) {
+            ck.save(F::FILE, &f.encode())?;
+            if let Some(obsolete) = F::SUPERSEDES {
+                ck.remove(obsolete)?;
+            }
+            self.telemetry.counter_add("checkpoint", "stages_saved", 1);
+        }
+        Ok(Some(f))
+    }
+}
+
 impl FeatureSet {
-    /// Compute every feature the configuration might need, reporting
-    /// per-stage timings (and, with an active event stream, GCN training
-    /// gauges) to `input.telemetry`. Under
-    /// [`CandidateStrategy::Blocked`] the candidate set is built once and
-    /// every feature scores exactly those pairs into a sparse top-k store.
-    pub fn compute(input: &EaInput<'_>, cfg: &CeaffConfig) -> Self {
+    /// Compute every feature `cfg` enables — the one feature build behind
+    /// every entry point — reporting per-stage timings (and, with an
+    /// active event stream, GCN training gauges) to `input.telemetry`.
+    ///
+    /// * **Candidates.** Under [`CandidateStrategy::Blocked`] the
+    ///   candidate set is built once and every feature scores exactly
+    ///   those pairs into a sparse top-k store.
+    /// * **Budget.** `budget` is armed for the build. GCN training
+    ///   consumes one step per epoch (stopping at its best snapshot when
+    ///   the budget runs out), each later feature one step per stage, and
+    ///   the memory cap is checked at every stage boundary. The first
+    ///   enabled feature is always computed; later features the exhausted
+    ///   budget refuses are skipped and recorded as a `"features"`
+    ///   [`Degradation`]. An unlimited budget changes nothing.
+    /// * **Checkpoints.** With a [`Checkpointer`], stages already in the
+    ///   run directory are restored bit-identically and for free, stages
+    ///   that run save their output, and the GCN also saves its epoch
+    ///   state when the policy has an epoch interval. Checkpoint artifacts
+    ///   are dense-only, so a checkpointer with
+    ///   [`CandidateStrategy::Blocked`] is a [`CeaffError::InvalidConfig`].
+    pub fn build(
+        input: &EaInput<'_>,
+        cfg: &CeaffConfig,
+        budget: &ExecBudget,
+        checkpointer: Option<&Checkpointer>,
+    ) -> Result<Self, CeaffError> {
+        if checkpointer.is_some() && !cfg.candidates.is_dense() {
+            return Err(CeaffError::InvalidConfig(
+                "`--checkpoint-dir` cannot be combined with `--candidates blocked`: \
+                 checkpoint stage artifacts are dense-only, so checkpointing requires \
+                 CandidateStrategy::Dense"
+                    .into(),
+            ));
+        }
+        let _armed = budget.install();
         let telemetry = &input.telemetry;
         telemetry.gauge(
             "parallel",
@@ -625,553 +747,78 @@ impl FeatureSet {
             None,
             ceaff_parallel::current_threads() as f64,
         );
-        let blocked = match &cfg.candidates {
-            CandidateStrategy::Dense => None,
-            CandidateStrategy::Blocked { k, blocking } => {
-                Some((block_candidates(input.pair, blocking, *k, telemetry), *k))
-            }
+        let candidates = candidates_for(input.pair, cfg, telemetry);
+        if candidates.is_some() {
+            budget.check_mem("blocking")?;
+        }
+        let blocked = candidates.as_ref().map(|(c, k)| (c, *k));
+        let mut gate = StageGate {
+            budget,
+            telemetry,
+            computed: 0,
+            skipped: 0,
+            stop: None,
         };
-        let structural = cfg.use_structural.then(|| {
-            compute_structural(
-                input,
-                cfg,
+
+        let structural = if cfg.use_structural {
+            // Propagation is deterministic and cheap; recomputing beats
+            // persisting an artifact, so it bypasses the checkpoint store.
+            let trained = matches!(cfg.structural, StructuralMode::Trained);
+            gate.stage(checkpointer.filter(|_| trained), input.pair, || {
+                structural_stage(input, cfg, blocked, checkpointer, budget)
+            })?
+        } else {
+            None
+        };
+        let semantic = if cfg.use_semantic {
+            gate.stage(checkpointer, input.pair, || {
+                Ok(semantic_stage(input, blocked))
+            })?
+        } else {
+            None
+        };
+        let string = if cfg.use_string {
+            gate.stage(checkpointer, input.pair, || {
+                Ok(string_stage(input, blocked))
+            })?
+        } else {
+            None
+        };
+
+        if gate.skipped > 0 {
+            let enabled = [cfg.use_structural, cfg.use_semantic, cfg.use_string]
+                .iter()
+                .filter(|&&on| on)
+                .count();
+            budget.record_degradation(
                 telemetry,
-                blocked.as_ref().map(|(c, k)| (c, *k)),
-            )
-        });
-        let semantic = cfg.use_semantic.then(|| {
-            let _span = telemetry.span("semantic");
-            match &blocked {
-                None => SemanticFeature::compute(
-                    input.pair,
-                    input.source_embedder,
-                    input.target_embedder,
-                ),
-                Some((cands, k)) => SemanticFeature::compute_blocked(
-                    input.pair,
-                    input.source_embedder,
-                    input.target_embedder,
-                    cands,
-                    *k,
-                ),
-            }
-        });
-        let string = cfg.use_string.then(|| {
-            let _span = telemetry.span("string");
-            match &blocked {
-                None => StringFeature::compute(input.pair),
-                Some((cands, k)) => StringFeature::compute_blocked(input.pair, cands, *k),
-            }
-        });
-        Self {
+                "features",
+                gate.stop.expect("skipping implies a stop reason"),
+                gate.computed as u64,
+                gate.skipped as f64 / enabled as f64,
+            );
+        }
+        Ok(Self {
             structural,
             semantic,
             string,
             extra: Vec::new(),
-        }
+        })
+    }
+
+    /// [`FeatureSet::build`] with no budget and no checkpoints.
+    ///
+    /// # Panics
+    /// Panics when GCN training diverges numerically; `build` returns
+    /// that as a typed error.
+    pub fn compute(input: &EaInput<'_>, cfg: &CeaffConfig) -> Self {
+        Self::build(input, cfg, &ExecBudget::unlimited(), None).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Attach an additional feature (see [`FeatureSet::extra`]).
     pub fn with_extra(mut self, feature: Box<dyn Feature>) -> Self {
         self.extra.push(feature);
         self
-    }
-
-    /// Checkpoint-aware [`FeatureSet::compute`]: each stage whose verified
-    /// artifact already exists in the run directory is restored *without
-    /// recomputation* (counted as `checkpoint/stages_resumed`); each stage
-    /// that runs saves its output on completion
-    /// (`checkpoint/stages_saved`). The GCN additionally saves/resumes its
-    /// epoch-level training state when the policy has an epoch interval.
-    ///
-    /// Restored stage outputs are bit-identical to freshly computed ones —
-    /// artifacts store the *normalised* matrices, so no floating-point
-    /// operation is repeated on the resume path.
-    pub fn try_compute_checkpointed(
-        input: &EaInput<'_>,
-        cfg: &CeaffConfig,
-        ck: &Checkpointer,
-    ) -> Result<Self, CeaffError> {
-        if !cfg.candidates.is_dense() {
-            return Err(CeaffError::InvalidConfig(
-                "`--checkpoint-dir` cannot be combined with `--candidates blocked`: \
-                 checkpoint stage artifacts are dense-only, so checkpointing requires \
-                 CandidateStrategy::Dense"
-                    .into(),
-            ));
-        }
-        let telemetry = &input.telemetry;
-        telemetry.gauge(
-            "parallel",
-            "threads",
-            None,
-            ceaff_parallel::current_threads() as f64,
-        );
-        let stage_err = |file: &str| {
-            let file = file.to_owned();
-            move |reason: String| CeaffError::Checkpoint { file, reason }
-        };
-
-        let structural = if !cfg.use_structural {
-            None
-        } else if !matches!(cfg.structural, StructuralMode::Trained) {
-            // Propagation is deterministic and cheap; recomputing beats
-            // persisting an artifact, so the checkpoint store is bypassed.
-            Some(compute_structural(input, cfg, telemetry, None))
-        } else {
-            Some(match ck.load(checkpoint::STAGE_STRUCTURAL)? {
-                Some(bytes) => {
-                    let (zs, zt, test, loss_curve) = checkpoint::decode_structural(&bytes)
-                        .map_err(stage_err(checkpoint::STAGE_STRUCTURAL))?;
-                    telemetry.counter_add("checkpoint", "stages_resumed", 1);
-                    StructuralFeature::from_saved_parts(
-                        zs,
-                        zt,
-                        SimilarityMatrix::new(test),
-                        loss_curve,
-                    )
-                }
-                None => {
-                    let f = StructuralFeature::try_compute_traced(
-                        input.pair,
-                        &cfg.gcn,
-                        telemetry,
-                        Some(ck),
-                    )?;
-                    ck.save(
-                        checkpoint::STAGE_STRUCTURAL,
-                        &checkpoint::encode_structural(
-                            f.source_embeddings(),
-                            f.target_embeddings(),
-                            f.test_matrix().as_matrix(),
-                            &f.loss_curve,
-                        ),
-                    )?;
-                    // The in-flight training state is subsumed by the
-                    // completed stage artifact.
-                    ck.remove(checkpoint::TRAIN_FILE)?;
-                    telemetry.counter_add("checkpoint", "stages_saved", 1);
-                    f
-                }
-            })
-        };
-
-        let semantic = if cfg.use_semantic {
-            Some(match ck.load(checkpoint::STAGE_SEMANTIC)? {
-                Some(bytes) => {
-                    let (ns, nt, test) = checkpoint::decode_embedding_stage(&bytes)
-                        .map_err(stage_err(checkpoint::STAGE_SEMANTIC))?;
-                    telemetry.counter_add("checkpoint", "stages_resumed", 1);
-                    SemanticFeature::from_saved_parts(ns, nt, SimilarityMatrix::new(test))
-                }
-                None => {
-                    let f = {
-                        let _span = telemetry.span("semantic");
-                        SemanticFeature::compute(
-                            input.pair,
-                            input.source_embedder,
-                            input.target_embedder,
-                        )
-                    };
-                    ck.save(
-                        checkpoint::STAGE_SEMANTIC,
-                        &checkpoint::encode_embedding_stage(
-                            f.source_embeddings(),
-                            f.target_embeddings(),
-                            f.test_matrix().as_matrix(),
-                        ),
-                    )?;
-                    telemetry.counter_add("checkpoint", "stages_saved", 1);
-                    f
-                }
-            })
-        } else {
-            None
-        };
-
-        let string = if cfg.use_string {
-            Some(match ck.load(checkpoint::STAGE_STRING)? {
-                Some(bytes) => {
-                    let test = checkpoint::decode_matrix_stage(&bytes)
-                        .map_err(stage_err(checkpoint::STAGE_STRING))?;
-                    telemetry.counter_add("checkpoint", "stages_resumed", 1);
-                    StringFeature::from_saved_parts(input.pair, SimilarityMatrix::new(test))
-                }
-                None => {
-                    let f = {
-                        let _span = telemetry.span("string");
-                        StringFeature::compute(input.pair)
-                    };
-                    ck.save(
-                        checkpoint::STAGE_STRING,
-                        &checkpoint::encode_matrix_stage(f.test_matrix().as_matrix()),
-                    )?;
-                    telemetry.counter_add("checkpoint", "stages_saved", 1);
-                    f
-                }
-            })
-        } else {
-            None
-        };
-
-        Ok(Self {
-            structural,
-            semantic,
-            string,
-            extra: Vec::new(),
-        })
-    }
-
-    /// Budget-aware [`FeatureSet::compute`]: GCN training consumes one
-    /// budget step per epoch (stopping at its best snapshot when the
-    /// budget runs out), each later feature consumes one step per stage,
-    /// and the memory cap is checked at every stage boundary.
-    ///
-    /// The first enabled feature is always computed — a run that produced
-    /// no feature at all could only fail, and the point of a budget is a
-    /// best-effort *result*. Later features that the exhausted budget
-    /// refuses are skipped and recorded as a `"features"`
-    /// [`Degradation`](ceaff_telemetry::Degradation); the
-    /// semantic/string kernels run under an uninterruptible probe scope
-    /// because their outputs feed fusion unconditionally (a
-    /// half-written matrix is never acceptable there).
-    pub fn try_compute_budgeted(
-        input: &EaInput<'_>,
-        cfg: &CeaffConfig,
-        budget: &ExecBudget,
-    ) -> Result<Self, CeaffError> {
-        let telemetry = &input.telemetry;
-        telemetry.gauge(
-            "parallel",
-            "threads",
-            None,
-            ceaff_parallel::current_threads() as f64,
-        );
-        let enabled = [cfg.use_structural, cfg.use_semantic, cfg.use_string]
-            .iter()
-            .filter(|&&on| on)
-            .count();
-        let mut computed = 0usize;
-        let mut skipped = 0usize;
-        let mut stop: Option<StopReason> = None;
-
-        let blocked = match &cfg.candidates {
-            CandidateStrategy::Dense => None,
-            CandidateStrategy::Blocked { k, blocking } => {
-                // Blocking is cheap relative to any feature; run it
-                // uninterrupted and let the memory check below observe
-                // the candidate structure it allocated.
-                let _probe_off = crate::budget::uninterruptible_scope();
-                let cands = block_candidates(input.pair, blocking, *k, telemetry);
-                budget.check_mem("blocking")?;
-                Some((cands, *k))
-            }
-        };
-
-        let structural = if cfg.use_structural {
-            budget.check_mem("features")?;
-            let f = if !matches!(cfg.structural, StructuralMode::Trained) {
-                // Propagation has no epoch granularity to meter; it runs
-                // uninterrupted like the other closed-form features.
-                let _probe_off = crate::budget::uninterruptible_scope();
-                compute_structural(
-                    input,
-                    cfg,
-                    telemetry,
-                    blocked.as_ref().map(|(c, k)| (c, *k)),
-                )
-            } else {
-                match &blocked {
-                    None => StructuralFeature::try_compute_budgeted(
-                        input.pair, &cfg.gcn, telemetry, None, budget,
-                    )?,
-                    Some((cands, k)) => StructuralFeature::try_compute_budgeted_blocked(
-                        input.pair, &cfg.gcn, telemetry, budget, cands, *k,
-                    )?,
-                }
-            };
-            computed += 1;
-            Some(f)
-        } else {
-            None
-        };
-
-        let semantic = if cfg.use_semantic {
-            if computed > 0 && stop.is_none() {
-                stop = budget.consume_step();
-            }
-            if stop.is_none() {
-                budget.check_mem("features")?;
-                let _probe_off = crate::budget::uninterruptible_scope();
-                let _span = telemetry.span("semantic");
-                computed += 1;
-                Some(match &blocked {
-                    None => SemanticFeature::compute(
-                        input.pair,
-                        input.source_embedder,
-                        input.target_embedder,
-                    ),
-                    Some((cands, k)) => SemanticFeature::compute_blocked(
-                        input.pair,
-                        input.source_embedder,
-                        input.target_embedder,
-                        cands,
-                        *k,
-                    ),
-                })
-            } else {
-                skipped += 1;
-                None
-            }
-        } else {
-            None
-        };
-
-        let string = if cfg.use_string {
-            if computed > 0 && stop.is_none() {
-                stop = budget.consume_step();
-            }
-            if stop.is_none() {
-                budget.check_mem("features")?;
-                let _probe_off = crate::budget::uninterruptible_scope();
-                let _span = telemetry.span("string");
-                computed += 1;
-                Some(match &blocked {
-                    None => StringFeature::compute(input.pair),
-                    Some((cands, k)) => StringFeature::compute_blocked(input.pair, cands, *k),
-                })
-            } else {
-                skipped += 1;
-                None
-            }
-        } else {
-            None
-        };
-
-        if skipped > 0 {
-            let reason = stop.expect("skipping implies a stop reason");
-            budget.record_degradation(
-                telemetry,
-                "features",
-                reason,
-                computed as u64,
-                skipped as f64 / enabled.max(1) as f64,
-            );
-        }
-        Ok(Self {
-            structural,
-            semantic,
-            string,
-            extra: Vec::new(),
-        })
-    }
-
-    /// Budget-aware [`FeatureSet::try_compute_checkpointed`]: stages
-    /// already on disk are restored for free (no budget steps), stages
-    /// that run follow the same budget rules as
-    /// [`FeatureSet::try_compute_budgeted`], and a stage the budget
-    /// stopped *short* is **not** saved as a completed artifact — the
-    /// GCN's in-flight training state stays on disk instead, so a later
-    /// resume continues training rather than mistaking the degraded
-    /// snapshot for the real stage output.
-    pub fn try_compute_checkpointed_budgeted(
-        input: &EaInput<'_>,
-        cfg: &CeaffConfig,
-        ck: &Checkpointer,
-        budget: &ExecBudget,
-    ) -> Result<Self, CeaffError> {
-        if !cfg.candidates.is_dense() {
-            return Err(CeaffError::InvalidConfig(
-                "`--checkpoint-dir` cannot be combined with `--candidates blocked`: \
-                 checkpoint stage artifacts are dense-only, so checkpointing requires \
-                 CandidateStrategy::Dense"
-                    .into(),
-            ));
-        }
-        let telemetry = &input.telemetry;
-        telemetry.gauge(
-            "parallel",
-            "threads",
-            None,
-            ceaff_parallel::current_threads() as f64,
-        );
-        let stage_err = |file: &str| {
-            let file = file.to_owned();
-            move |reason: String| CeaffError::Checkpoint { file, reason }
-        };
-        let enabled = [cfg.use_structural, cfg.use_semantic, cfg.use_string]
-            .iter()
-            .filter(|&&on| on)
-            .count();
-        let mut computed = 0usize;
-        let mut skipped = 0usize;
-        let mut stop: Option<StopReason> = None;
-
-        let structural = if !cfg.use_structural {
-            None
-        } else if !matches!(cfg.structural, StructuralMode::Trained) {
-            // Deterministic and cheap: recompute, bypassing the
-            // checkpoint store (see `try_compute_checkpointed`).
-            budget.check_mem("features")?;
-            let f = {
-                let _probe_off = crate::budget::uninterruptible_scope();
-                compute_structural(input, cfg, telemetry, None)
-            };
-            computed += 1;
-            Some(f)
-        } else {
-            Some(match ck.load(checkpoint::STAGE_STRUCTURAL)? {
-                Some(bytes) => {
-                    let (zs, zt, test, loss_curve) = checkpoint::decode_structural(&bytes)
-                        .map_err(stage_err(checkpoint::STAGE_STRUCTURAL))?;
-                    telemetry.counter_add("checkpoint", "stages_resumed", 1);
-                    computed += 1;
-                    StructuralFeature::from_saved_parts(
-                        zs,
-                        zt,
-                        SimilarityMatrix::new(test),
-                        loss_curve,
-                    )
-                }
-                None => {
-                    budget.check_mem("features")?;
-                    let f = StructuralFeature::try_compute_budgeted(
-                        input.pair,
-                        &cfg.gcn,
-                        telemetry,
-                        Some(ck),
-                        budget,
-                    )?;
-                    if budget.stop_reason().is_none() {
-                        ck.save(
-                            checkpoint::STAGE_STRUCTURAL,
-                            &checkpoint::encode_structural(
-                                f.source_embeddings(),
-                                f.target_embeddings(),
-                                f.test_matrix().as_matrix(),
-                                &f.loss_curve,
-                            ),
-                        )?;
-                        // The in-flight training state is subsumed by the
-                        // completed stage artifact.
-                        ck.remove(checkpoint::TRAIN_FILE)?;
-                        telemetry.counter_add("checkpoint", "stages_saved", 1);
-                    }
-                    computed += 1;
-                    f
-                }
-            })
-        };
-
-        let semantic = if cfg.use_semantic {
-            match ck.load(checkpoint::STAGE_SEMANTIC)? {
-                Some(bytes) => {
-                    let (ns, nt, test) = checkpoint::decode_embedding_stage(&bytes)
-                        .map_err(stage_err(checkpoint::STAGE_SEMANTIC))?;
-                    telemetry.counter_add("checkpoint", "stages_resumed", 1);
-                    computed += 1;
-                    Some(SemanticFeature::from_saved_parts(
-                        ns,
-                        nt,
-                        SimilarityMatrix::new(test),
-                    ))
-                }
-                None => {
-                    if computed > 0 && stop.is_none() {
-                        stop = budget.consume_step();
-                    }
-                    if stop.is_none() {
-                        budget.check_mem("features")?;
-                        let f = {
-                            let _probe_off = crate::budget::uninterruptible_scope();
-                            let _span = telemetry.span("semantic");
-                            SemanticFeature::compute(
-                                input.pair,
-                                input.source_embedder,
-                                input.target_embedder,
-                            )
-                        };
-                        if budget.stop_reason().is_none() {
-                            ck.save(
-                                checkpoint::STAGE_SEMANTIC,
-                                &checkpoint::encode_embedding_stage(
-                                    f.source_embeddings(),
-                                    f.target_embeddings(),
-                                    f.test_matrix().as_matrix(),
-                                ),
-                            )?;
-                            telemetry.counter_add("checkpoint", "stages_saved", 1);
-                        }
-                        computed += 1;
-                        Some(f)
-                    } else {
-                        skipped += 1;
-                        None
-                    }
-                }
-            }
-        } else {
-            None
-        };
-
-        let string = if cfg.use_string {
-            match ck.load(checkpoint::STAGE_STRING)? {
-                Some(bytes) => {
-                    let test = checkpoint::decode_matrix_stage(&bytes)
-                        .map_err(stage_err(checkpoint::STAGE_STRING))?;
-                    telemetry.counter_add("checkpoint", "stages_resumed", 1);
-                    computed += 1;
-                    Some(StringFeature::from_saved_parts(
-                        input.pair,
-                        SimilarityMatrix::new(test),
-                    ))
-                }
-                None => {
-                    if computed > 0 && stop.is_none() {
-                        stop = budget.consume_step();
-                    }
-                    if stop.is_none() {
-                        budget.check_mem("features")?;
-                        let f = {
-                            let _probe_off = crate::budget::uninterruptible_scope();
-                            let _span = telemetry.span("string");
-                            StringFeature::compute(input.pair)
-                        };
-                        if budget.stop_reason().is_none() {
-                            ck.save(
-                                checkpoint::STAGE_STRING,
-                                &checkpoint::encode_matrix_stage(f.test_matrix().as_matrix()),
-                            )?;
-                            telemetry.counter_add("checkpoint", "stages_saved", 1);
-                        }
-                        computed += 1;
-                        Some(f)
-                    } else {
-                        skipped += 1;
-                        None
-                    }
-                }
-            }
-        } else {
-            None
-        };
-
-        if skipped > 0 {
-            let reason = stop.expect("skipping implies a stop reason");
-            budget.record_degradation(
-                telemetry,
-                "features",
-                reason,
-                computed as u64,
-                skipped as f64 / enabled.max(1) as f64,
-            );
-        }
-        Ok(Self {
-            structural,
-            semantic,
-            string,
-            extra: Vec::new(),
-        })
     }
 
     /// Compute all three features regardless of the flags in `cfg` (for
@@ -1285,8 +932,7 @@ fn emit_flat_weights(telemetry: &Telemetry, weights: &[f32]) {
     }
 }
 
-/// The fusion stage shared by [`try_run_with_features`] and its budgeted
-/// variant: preprocess every active feature store, then combine them
+/// The fusion stage of [`fuse_and_match`]: preprocess every active feature store, then combine them
 /// under the configured weighting mode. All-dense inputs take the
 /// bitwise-identical dense fusion path; any sparse input routes the
 /// merge through the sparse accumulator (see
@@ -1364,82 +1010,23 @@ fn fuse_active(
     }
 }
 
-/// Run fusion + matching on precomputed features.
+/// The one fuse-and-match body, behind [`run`], [`try_run_with_features`]
+/// and the delta pipeline: preprocess and fuse the active features, then
+/// match collectively under `budget`.
 ///
-/// Fails with [`CeaffError::InvalidConfig`] on a bad configuration,
-/// [`CeaffError::EmptyFeatureSet`] when `cfg` enables no feature that
-/// `features` actually contains, and [`CeaffError::ShapeMismatch`] when
-/// the active feature matrices disagree about the test-split shape.
-///
-/// Fusion and matching are timed under the `"fusion"` and `"matcher"`
-/// stages of `telemetry`; the drained trace is attached to the output.
-pub fn try_run_with_features(
-    pair: &KgPair,
-    features: &FeatureSet,
-    cfg: &CeaffConfig,
-    telemetry: &Telemetry,
-) -> Result<CeaffOutput, CeaffError> {
-    cfg.validate()?;
-    let active = features.active(cfg);
-    check_features(&active)?;
-    telemetry.gauge(
-        "parallel",
-        "threads",
-        None,
-        ceaff_parallel::current_threads() as f64,
-    );
-
-    let fusion_span = telemetry.span("fusion");
-    let (fused, textual_fusion, final_fusion, flat_weights) =
-        fuse_active(pair, features, &active, cfg);
-    if let Some(report) = &textual_fusion {
-        emit_fusion_report(telemetry, "textual", report);
-    }
-    if let Some(report) = &final_fusion {
-        emit_fusion_report(telemetry, "final", report);
-    }
-    if let Some(weights) = &flat_weights {
-        emit_flat_weights(telemetry, weights);
-    }
-    fusion_span.finish();
-
-    let matching = cfg.matcher.build().matching_store_traced(&fused, telemetry);
-    let acc = accuracy(&matching, fused.sources());
-    let ranking = ranking_metrics_store(&fused);
-    telemetry.gauge("pipeline", "accuracy", None, acc);
-    telemetry.gauge("pipeline", "matched_pairs", None, matching.len() as f64);
-    Ok(CeaffOutput {
-        fused,
-        matching,
-        accuracy: acc,
-        ranking,
-        textual_fusion,
-        final_fusion,
-        flat_weights,
-        trace: telemetry.take_trace(),
-    })
-}
-
-/// Budget-aware [`try_run_with_features`]: fusion runs uninterrupted
-/// (its output feeds matching unconditionally), the matcher becomes
-/// *anytime* — on deadline/cancel/step-limit it checkpoints its partial
-/// assignment and completes the unmatched rows greedily, recording a
-/// `"matcher"` [`Degradation`](ceaff_telemetry::Degradation) in the
-/// trace — and the memory cap is checked at each stage boundary.
-///
-/// An unlimited budget short-circuits to [`try_run_with_features`]
-/// itself, so the output is bitwise-identical to an unbudgeted run at
-/// any thread count.
-pub fn try_run_with_features_budgeted(
+/// Fusion runs uninterrupted (its output feeds matching
+/// unconditionally), and the memory cap is checked at each stage
+/// boundary. The matcher is *anytime*: on deadline, cancel or step limit
+/// it keeps its partial assignment, completes the unmatched rows greedily
+/// and records a `"matcher"` [`Degradation`] in the trace. An unlimited
+/// budget dispatches every kernel exactly as a run without budgets.
+pub(crate) fn fuse_and_match(
     pair: &KgPair,
     features: &FeatureSet,
     cfg: &CeaffConfig,
     telemetry: &Telemetry,
     budget: &ExecBudget,
 ) -> Result<CeaffOutput, CeaffError> {
-    if budget.is_unlimited() {
-        return try_run_with_features(pair, features, cfg, telemetry);
-    }
     cfg.validate()?;
     let _armed = budget.install();
     let active = features.active(cfg);
@@ -1453,9 +1040,6 @@ pub fn try_run_with_features_budgeted(
 
     let fusion_span = telemetry.span("fusion");
     let (fused, textual_fusion, final_fusion, flat_weights) = {
-        // Fusion (CSLS, normalisation, weight search) is short and
-        // non-degradable: finish its kernels, let the boundary checks
-        // below observe any stop.
         let _probe_off = crate::budget::uninterruptible_scope();
         fuse_active(pair, features, &active, cfg)
     };
@@ -1471,27 +1055,61 @@ pub fn try_run_with_features_budgeted(
     fusion_span.finish();
     budget.check_mem("fusion")?;
 
-    let outcome = cfg
-        .matcher
-        .build()
-        .matching_store_budgeted(&fused, budget, telemetry);
-    budget.check_mem("matcher")?;
-    let matching = outcome.matching;
-    let acc = accuracy(&matching, fused.sources());
+    let (outcome, accuracy) = decide(&fused, cfg.matcher, budget, telemetry)?;
     let ranking = ranking_metrics_store(&fused);
-    telemetry.gauge("pipeline", "accuracy", None, acc);
-    telemetry.gauge("pipeline", "matched_pairs", None, matching.len() as f64);
-    budget.emit_counters(telemetry);
     Ok(CeaffOutput {
         fused,
-        matching,
-        accuracy: acc,
+        matching: outcome.matching,
+        accuracy,
         ranking,
         textual_fusion,
         final_fusion,
         flat_weights,
         trace: telemetry.take_trace(),
     })
+}
+
+/// The matcher tail of every run: the anytime matcher under `budget`,
+/// the memory check at its boundary, the `pipeline/accuracy` and
+/// `pipeline/matched_pairs` gauges and the budget counters.
+fn decide(
+    fused: &SimStore,
+    matcher: MatcherKind,
+    budget: &ExecBudget,
+    telemetry: &Telemetry,
+) -> Result<(AnytimeOutcome, f64), CeaffError> {
+    let outcome = matcher
+        .build()
+        .matching_store_budgeted(fused, budget, telemetry);
+    budget.check_mem("matcher")?;
+    let acc = accuracy(&outcome.matching, fused.sources());
+    telemetry.gauge("pipeline", "accuracy", None, acc);
+    telemetry.gauge(
+        "pipeline",
+        "matched_pairs",
+        None,
+        outcome.matching.len() as f64,
+    );
+    budget.emit_counters(telemetry);
+    Ok((outcome, acc))
+}
+
+/// Run fusion + matching on precomputed features.
+///
+/// Fails with [`CeaffError::InvalidConfig`] on a bad configuration,
+/// [`CeaffError::EmptyFeatureSet`] when `cfg` enables no feature that
+/// `features` actually contains, and [`CeaffError::ShapeMismatch`] when
+/// the active feature matrices disagree about the test-split shape.
+///
+/// Fusion and matching are timed under the `"fusion"` and `"matcher"`
+/// stages of `telemetry`; the drained trace is attached to the output.
+pub fn try_run_with_features(
+    pair: &KgPair,
+    features: &FeatureSet,
+    cfg: &CeaffConfig,
+    telemetry: &Telemetry,
+) -> Result<CeaffOutput, CeaffError> {
+    fuse_and_match(pair, features, cfg, telemetry, &ExecBudget::unlimited())
 }
 
 /// What [`run_decision_budgeted`] produced: the matching plus its quality
@@ -1522,17 +1140,18 @@ pub struct DecisionOutput {
 /// features once (via [`try_run`] or [`FeatureSet::compute`] +
 /// [`try_run_with_features`]), keeps the resulting
 /// [`CeaffOutput::fused`] store warm, and then answers each request with
-/// this call — no feature recomputation, just the collective decision
-/// under that request's own [`ExecBudget`]. The budget is installed for
-/// the duration of the call (memory ledger + cancel probe on the calling
-/// thread), the matcher runs in its anytime form, and the memory cap is
-/// checked at the stage boundary. The warm store is only read, never
-/// mutated, so a degraded or failed decision cannot poison it.
+/// this call — no feature recomputation, just the matcher tail every run
+/// ends with, under that request's own [`ExecBudget`]. The budget is
+/// installed for the duration of the call (memory ledger + cancel probe
+/// on the calling thread). The warm store is only read, never mutated,
+/// so a degraded or failed decision cannot poison it.
 ///
 /// With an unlimited (or never-fired) budget the matching is
 /// bitwise-identical to [`Matcher::matching_store_traced`] at any thread
-/// count — the anytime path short-circuits — so repeated identical
-/// requests return byte-identical responses.
+/// count, so repeated identical requests return byte-identical
+/// responses.
+///
+/// [`Matcher::matching_store_traced`]: crate::matching::Matcher::matching_store_traced
 pub fn run_decision_budgeted(
     fused: &SimStore,
     matcher: MatcherKind,
@@ -1540,22 +1159,10 @@ pub fn run_decision_budgeted(
     telemetry: &Telemetry,
 ) -> Result<DecisionOutput, CeaffError> {
     let _armed = budget.install();
-    let outcome = matcher
-        .build()
-        .matching_store_budgeted(fused, budget, telemetry);
-    budget.check_mem("matcher")?;
-    let acc = accuracy(&outcome.matching, fused.sources());
-    telemetry.gauge("pipeline", "accuracy", None, acc);
-    telemetry.gauge(
-        "pipeline",
-        "matched_pairs",
-        None,
-        outcome.matching.len() as f64,
-    );
-    budget.emit_counters(telemetry);
+    let (outcome, accuracy) = decide(fused, matcher, budget, telemetry)?;
     Ok(DecisionOutput {
         matching: outcome.matching,
-        accuracy: acc,
+        accuracy,
         degradation: outcome.degradation,
         degraded_rows: outcome.degraded_rows,
         trace: telemetry.take_trace(),
@@ -1580,200 +1187,55 @@ fn preprocess_store(s: &SimStore, cfg: &CeaffConfig) -> SimStore {
     }
 }
 
-/// Compute features and run the pipeline in one call, reporting every
-/// stage to `input.telemetry`.
+/// The one full-run body: compute the features [`FeatureSet::build`]
+/// would, then fuse and match, reporting every stage to
+/// `input.telemetry`.
+///
+/// The whole pipeline — GCN epochs, feature stages, fusion, matching —
+/// runs under `budget`, degrading gracefully on deadline, cancel or step
+/// limit (a partial-but-valid output plus
+/// [`Degradation`] records in the trace) and failing with
+/// [`CeaffError::BudgetExceeded`] when the memory cap is crossed. An
+/// unlimited budget is bitwise-identical to a run without budgets at any
+/// thread count.
+///
+/// With a [`Checkpointer`], stage outputs (and, under
+/// [`CheckpointPolicy::EveryNEpochs`](crate::checkpoint::CheckpointPolicy::EveryNEpochs),
+/// the GCN training state) are saved to its run directory as the run
+/// progresses, and completed work found there is restored instead of
+/// recomputed. A resumed run produces **bitwise-identical** final
+/// metrics to an uninterrupted one at any thread count. To resume, reopen
+/// the directory, which carries the configuration:
+///
+/// ```no_run
+/// # use ceaff_core::{run, Checkpointer, CeaffError, EaInput, ExecBudget};
+/// # fn resume(input: &EaInput<'_>) -> Result<(), CeaffError> {
+/// let (ck, cfg) = Checkpointer::open("run-dir")?;
+/// let out = run(input, &cfg, &ExecBudget::unlimited(), Some(&ck))?;
+/// # let _ = out; Ok(()) }
+/// ```
+pub fn run(
+    input: &EaInput<'_>,
+    cfg: &CeaffConfig,
+    budget: &ExecBudget,
+    checkpointer: Option<&Checkpointer>,
+) -> Result<CeaffOutput, CeaffError> {
+    cfg.validate()?;
+    let features = FeatureSet::build(input, cfg, budget, checkpointer)?;
+    fuse_and_match(input.pair, &features, cfg, &input.telemetry, budget)
+}
+
+/// [`run`] with no budget and no checkpoints.
 pub fn try_run(input: &EaInput<'_>, cfg: &CeaffConfig) -> Result<CeaffOutput, CeaffError> {
-    cfg.validate()?;
-    let features = FeatureSet::compute(input, cfg);
-    try_run_with_features(input.pair, &features, cfg, &input.telemetry)
-}
-
-/// Budget-aware [`try_run`]: the whole pipeline — GCN epochs, feature
-/// stages, fusion, matching — runs under `budget`, degrading gracefully
-/// on deadline/cancel/step-limit (partial-but-valid output plus
-/// [`Degradation`](ceaff_telemetry::Degradation) records in the trace)
-/// and failing with [`CeaffError::BudgetExceeded`] when the memory cap
-/// is crossed.
-///
-/// An unlimited budget short-circuits to [`try_run`], so the output is
-/// bitwise-identical to an unbudgeted run at any thread count.
-pub fn try_run_with_budget(
-    input: &EaInput<'_>,
-    cfg: &CeaffConfig,
-    budget: &ExecBudget,
-) -> Result<CeaffOutput, CeaffError> {
-    if budget.is_unlimited() {
-        return try_run(input, cfg);
-    }
-    cfg.validate()?;
-    let _armed = budget.install();
-    let features = FeatureSet::try_compute_budgeted(input, cfg, budget)?;
-    try_run_with_features_budgeted(input.pair, &features, cfg, &input.telemetry, budget)
-}
-
-/// [`try_run`] with crash-safe checkpointing: stage outputs (and, with
-/// [`CheckpointPolicy::EveryNEpochs`], the GCN training state) are saved
-/// to `dir` as the run progresses. Call [`resume_from`] on the same
-/// directory after an interruption — the continued run skips completed
-/// work and produces **bitwise-identical** final metrics to an
-/// uninterrupted run at any thread count.
-///
-/// The directory is created if absent and pins the configuration: calling
-/// again with a different `cfg` is a [`CeaffError::Checkpoint`] error.
-pub fn try_run_checkpointed(
-    input: &EaInput<'_>,
-    cfg: &CeaffConfig,
-    dir: impl AsRef<std::path::Path>,
-    policy: CheckpointPolicy,
-) -> Result<CeaffOutput, CeaffError> {
-    cfg.validate()?;
-    if matches!(policy, CheckpointPolicy::Off) {
-        return try_run(input, cfg);
-    }
-    let ck = Checkpointer::create(dir, policy, cfg)?;
-    let features = FeatureSet::try_compute_checkpointed(input, cfg, &ck)?;
-    try_run_with_features(input.pair, &features, cfg, &input.telemetry)
-}
-
-/// Budget-aware [`try_run_checkpointed`]: checkpointing and execution
-/// budgets compose — completed stages restore for free, running stages
-/// obey the budget, and a stage the budget stopped short keeps its
-/// in-flight training state on disk (it is *not* saved as a completed
-/// artifact), so resuming later finishes the real computation.
-///
-/// An unlimited budget short-circuits to [`try_run_checkpointed`].
-pub fn try_run_checkpointed_with_budget(
-    input: &EaInput<'_>,
-    cfg: &CeaffConfig,
-    dir: impl AsRef<std::path::Path>,
-    policy: CheckpointPolicy,
-    budget: &ExecBudget,
-) -> Result<CeaffOutput, CeaffError> {
-    if budget.is_unlimited() {
-        return try_run_checkpointed(input, cfg, dir, policy);
-    }
-    cfg.validate()?;
-    if matches!(policy, CheckpointPolicy::Off) {
-        return try_run_with_budget(input, cfg, budget);
-    }
-    let _armed = budget.install();
-    let ck = Checkpointer::create(dir, policy, cfg)?;
-    let features = FeatureSet::try_compute_checkpointed_budgeted(input, cfg, &ck, budget)?;
-    try_run_with_features_budgeted(input.pair, &features, cfg, &input.telemetry, budget)
-}
-
-/// Resume an interrupted [`try_run_checkpointed`] run from its directory.
-///
-/// The configuration (and policy) travel with the run directory, so the
-/// caller supplies only the input data. Completed stages are restored
-/// verified-and-verbatim; an interrupted GCN training continues from its
-/// last saved epoch boundary. Corrupt or truncated artifacts fail with
-/// [`CeaffError::Checkpoint`] before anything partial is used.
-pub fn resume_from(
-    dir: impl AsRef<std::path::Path>,
-    input: &EaInput<'_>,
-) -> Result<CeaffOutput, CeaffError> {
-    let (ck, cfg) = Checkpointer::open(dir)?;
-    cfg.validate()?;
-    let features = FeatureSet::try_compute_checkpointed(input, &cfg, &ck)?;
-    try_run_with_features(input.pair, &features, &cfg, &input.telemetry)
-}
-
-/// Budget-aware [`resume_from`]: resume an interrupted checkpointed run
-/// under an execution budget (see [`try_run_checkpointed_with_budget`]
-/// for the composition rules). An unlimited budget short-circuits to
-/// [`resume_from`].
-pub fn resume_from_with_budget(
-    dir: impl AsRef<std::path::Path>,
-    input: &EaInput<'_>,
-    budget: &ExecBudget,
-) -> Result<CeaffOutput, CeaffError> {
-    if budget.is_unlimited() {
-        return resume_from(dir, input);
-    }
-    let (ck, cfg) = Checkpointer::open(dir)?;
-    cfg.validate()?;
-    let _armed = budget.install();
-    let features = FeatureSet::try_compute_checkpointed_budgeted(input, &cfg, &ck, budget)?;
-    try_run_with_features_budgeted(input.pair, &features, &cfg, &input.telemetry, budget)
-}
-
-/// A single-adaptive-stage variant fusing all active features at once —
-/// kept public to make the paper's claim that *two-stage* fusion adjusts
-/// weights better directly testable (see the `fusion` bench and the
-/// ablation experiments).
-pub fn try_run_single_stage(
-    features: &FeatureSet,
-    cfg: &CeaffConfig,
-    telemetry: &Telemetry,
-) -> Result<CeaffOutput, CeaffError> {
-    cfg.validate()?;
-    let active = features.active(cfg);
-    check_features(&active)?;
-    telemetry.gauge(
-        "parallel",
-        "threads",
-        None,
-        ceaff_parallel::current_threads() as f64,
-    );
-    let fusion_span = telemetry.span("fusion");
-    let normalized: Vec<SimStore> = active
-        .iter()
-        .map(|f| preprocess_store(f.test_store(), cfg))
-        .collect();
-    let stores: Vec<&SimStore> = normalized.iter().collect();
-    let (fused, report) = adaptive_fuse_store(&stores, &cfg.fusion);
-    emit_fusion_report(telemetry, "single", &report);
-    fusion_span.finish();
-    let matching = cfg.matcher.build().matching_store_traced(&fused, telemetry);
-    let acc = accuracy(&matching, fused.sources());
-    let ranking = ranking_metrics_store(&fused);
-    telemetry.gauge("pipeline", "accuracy", None, acc);
-    telemetry.gauge("pipeline", "matched_pairs", None, matching.len() as f64);
-    Ok(CeaffOutput {
-        fused,
-        matching,
-        accuracy: acc,
-        ranking,
-        textual_fusion: None,
-        final_fusion: Some(report),
-        flat_weights: None,
-        trace: telemetry.take_trace(),
-    })
-}
-
-/// Deprecated panicking shim over [`try_run_with_features`].
-///
-/// # Panics
-/// Panics if `cfg` enables no feature that `features` actually contains.
-#[deprecated(since = "0.1.0", note = "use `try_run_with_features` instead")]
-pub fn run_with_features(pair: &KgPair, features: &FeatureSet, cfg: &CeaffConfig) -> CeaffOutput {
-    try_run_with_features(pair, features, cfg, &Telemetry::disabled())
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Deprecated panicking shim over [`try_run`].
-///
-/// # Panics
-/// Panics on an invalid configuration or an empty feature set.
-#[deprecated(since = "0.1.0", note = "use `try_run` instead")]
-pub fn run(input: &EaInput<'_>, cfg: &CeaffConfig) -> CeaffOutput {
-    try_run(input, cfg).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Deprecated panicking shim over [`try_run_single_stage`].
-///
-/// # Panics
-/// Panics if `cfg` enables no feature that `features` actually contains.
-#[deprecated(since = "0.1.0", note = "use `try_run_single_stage` instead")]
-pub fn run_single_stage(features: &FeatureSet, cfg: &CeaffConfig) -> CeaffOutput {
-    try_run_single_stage(features, cfg, &Telemetry::disabled()).unwrap_or_else(|e| panic!("{e}"))
+    run(input, cfg, &ExecBudget::unlimited(), None)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::CheckpointPolicy;
     use ceaff_datagen::{GenConfig, GeneratedDataset, NameChannel, Preset};
+    use ceaff_sim::SimilarityMatrix;
     use ceaff_telemetry::{EventKind, InMemorySink};
     use std::sync::Arc;
 
@@ -1985,7 +1447,8 @@ mod tests {
         let input = EaInput::new(&ds.pair, &src, &tgt);
         let cfg = fast_cfg().with_blocking(25);
         let dir = std::env::temp_dir().join(format!("ceaff-blocked-ck-{}", std::process::id()));
-        let err = try_run_checkpointed(&input, &cfg, &dir, CheckpointPolicy::PerStage).unwrap_err();
+        let ck = Checkpointer::create(&dir, CheckpointPolicy::PerStage, &cfg).expect("run dir");
+        let err = run(&input, &cfg, &ExecBudget::unlimited(), Some(&ck)).unwrap_err();
         match &err {
             // The message must name both offending flags so a CLI user
             // knows exactly which pair of options conflicts.
@@ -2138,24 +1601,6 @@ mod tests {
         let err =
             try_run_with_features(&ds.pair, &features, &cfg, &Telemetry::disabled()).unwrap_err();
         assert_eq!(err, CeaffError::EmptyFeatureSet);
-        let err = try_run_single_stage(&features, &cfg, &Telemetry::disabled()).unwrap_err();
-        assert_eq!(err, CeaffError::EmptyFeatureSet);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    #[should_panic(expected = "enables no computed feature")]
-    fn deprecated_shim_preserves_the_panic() {
-        let ds = dataset();
-        let src = ds.source_embedder(32);
-        let tgt = ds.target_embedder(32);
-        let input = EaInput::new(&ds.pair, &src, &tgt);
-        let mut cfg = fast_cfg();
-        cfg.use_structural = false;
-        cfg.use_semantic = false;
-        cfg.use_string = false;
-        let features = FeatureSet::compute(&input, &cfg);
-        let _ = run_with_features(&ds.pair, &features, &cfg);
     }
 
     /// A constant-matrix feature used to provoke a shape mismatch.

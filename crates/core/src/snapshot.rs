@@ -281,6 +281,9 @@ fn get_store(r: &mut ByteReader<'_>) -> Result<SimStore, String> {
         1 => {
             let targets = r.usize()?;
             let k = r.usize()?;
+            if k == 0 {
+                return Err("sparse store with k = 0".into());
+            }
             // Each row is at least its two u64 length prefixes.
             let sources = r.checked_len(16)?;
             let mut rows = Vec::with_capacity(sources);
@@ -289,6 +292,11 @@ fn get_store(r: &mut ByteReader<'_>) -> Result<SimStore, String> {
                 let vals = r.f32s()?;
                 if cols.len() != vals.len() {
                     return Err("sparse row column/value length mismatch".into());
+                }
+                if let Some(&c) = cols.iter().find(|&&c| c as usize >= targets) {
+                    return Err(format!(
+                        "sparse column {c} out of range for {targets} targets"
+                    ));
                 }
                 rows.push(cols.into_iter().zip(vals).collect());
             }
@@ -615,6 +623,31 @@ mod tests {
                 ),
             }
         }
+    }
+
+    /// The encoding of a sparse store with the given header and rows.
+    fn sparse_store_bytes(targets: usize, k: usize, rows: &[(Vec<u32>, Vec<f32>)]) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.u8(1);
+        w.usize(targets);
+        w.usize(k);
+        w.usize(rows.len());
+        for (cols, vals) in rows {
+            w.u32s(cols);
+            w.f32s(vals);
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn sparse_store_with_zero_k_or_out_of_range_column_fails_typed() {
+        let row = || vec![(vec![3u32, 1], vec![0.9f32, 0.2])];
+        let decode = |bytes: Vec<u8>| get_store(&mut ByteReader::new(&bytes));
+        assert!(decode(sparse_store_bytes(4, 2, &row())).is_ok());
+        let err = decode(sparse_store_bytes(4, 0, &row())).expect_err("k = 0 must fail");
+        assert!(err.contains("k = 0"), "{err}");
+        let err = decode(sparse_store_bytes(3, 2, &row())).expect_err("column 3 of 3 must fail");
+        assert!(err.contains("out of range"), "{err}");
     }
 
     #[test]

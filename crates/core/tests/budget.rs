@@ -3,12 +3,9 @@
 //! under step limits and cancellation, the typed memory-budget error,
 //! and the budget × checkpoint interplay.
 
-use ceaff_core::checkpoint::CheckpointPolicy;
+use ceaff_core::checkpoint::{CheckpointPolicy, Checkpointer};
 use ceaff_core::gcn::GcnConfig;
-use ceaff_core::pipeline::{
-    resume_from, try_run, try_run_checkpointed_with_budget, try_run_with_budget, CeaffConfig,
-    CeaffOutput, EaInput,
-};
+use ceaff_core::pipeline::{run, try_run, CeaffConfig, CeaffOutput, EaInput};
 use ceaff_core::{CancelToken, CeaffError, ExecBudget};
 use ceaff_datagen::{GenConfig, GeneratedDataset, NameChannel};
 use std::path::PathBuf;
@@ -75,10 +72,11 @@ fn unlimited_budget_is_bitwise_identical_to_unbudgeted() {
     let cfg = cfg();
 
     let plain = try_run(&EaInput::new(&ds.pair, &src, &tgt), &cfg).expect("plain run");
-    let unlimited = try_run_with_budget(
+    let unlimited = run(
         &EaInput::new(&ds.pair, &src, &tgt),
         &cfg,
         &ExecBudget::unlimited(),
+        None,
     )
     .expect("unlimited budgeted run");
     assert_bitwise_equal(&plain, &unlimited);
@@ -100,8 +98,8 @@ fn unfired_constrained_budget_is_bitwise_identical_too() {
         .with_cancel(CancelToken::new())
         .with_deadline(Duration::from_secs(3600))
         .with_step_limit(u64::MAX);
-    let budgeted = try_run_with_budget(&EaInput::new(&ds.pair, &src, &tgt), &cfg, &budget)
-        .expect("budgeted run");
+    let budgeted =
+        run(&EaInput::new(&ds.pair, &src, &tgt), &cfg, &budget, None).expect("budgeted run");
     assert_bitwise_equal(&plain, &budgeted);
     assert!(budgeted.trace.degradations.is_empty());
     // ... but its trace does carry the budget accounting.
@@ -118,7 +116,7 @@ fn step_limited_run_degrades_gracefully() {
     // 10 granules against 30 GCN epochs + 2 feature stages + matcher
     // rounds: training is cut short and everything after it degrades.
     let budget = ExecBudget::unlimited().with_step_limit(10);
-    let out = try_run_with_budget(&EaInput::new(&ds.pair, &src, &tgt), &cfg, &budget)
+    let out = run(&EaInput::new(&ds.pair, &src, &tgt), &cfg, &budget, None)
         .expect("degraded run still succeeds");
     let n = ds.pair.test_pairs().len();
     assert!(out.matching.is_one_to_one());
@@ -149,7 +147,7 @@ fn cancelled_before_start_still_returns_a_valid_result() {
     let token = CancelToken::new();
     token.cancel();
     let budget = ExecBudget::unlimited().with_cancel(token);
-    let out = try_run_with_budget(&EaInput::new(&ds.pair, &src, &tgt), &cfg, &budget)
+    let out = run(&EaInput::new(&ds.pair, &src, &tgt), &cfg, &budget, None)
         .expect("cancelled run degrades, not errors");
     assert!(out.matching.is_one_to_one());
     assert_eq!(out.matching.len(), ds.pair.test_pairs().len());
@@ -173,14 +171,14 @@ fn already_expired_deadline_degrades_immediately_and_reproducibly() {
     let tgt = ds.target_embedder(16);
     let cfg = cfg();
 
-    let run = |threads: usize| {
+    let run_at = |threads: usize| {
         ceaff_parallel::with_threads(threads, || {
             let budget = ExecBudget::unlimited().with_deadline(Duration::ZERO);
-            try_run_with_budget(&EaInput::new(&ds.pair, &src, &tgt), &cfg, &budget)
+            run(&EaInput::new(&ds.pair, &src, &tgt), &cfg, &budget, None)
                 .expect("expired deadline degrades, not errors")
         })
     };
-    let out = run(1);
+    let out = run_at(1);
     assert!(out.matching.is_one_to_one());
     assert_eq!(out.matching.len(), ds.pair.test_pairs().len());
     assert!(out.accuracy.is_finite());
@@ -192,7 +190,7 @@ fn already_expired_deadline_degrades_immediately_and_reproducibly() {
         assert_eq!(d.reason, "deadline");
         assert!((0.0..=1.0).contains(&d.fraction_degraded));
     }
-    assert_bitwise_equal(&out, &run(4));
+    assert_bitwise_equal(&out, &run_at(4));
 }
 
 #[test]
@@ -206,14 +204,14 @@ fn zero_step_limit_degrades_immediately_and_reproducibly() {
     let tgt = ds.target_embedder(16);
     let cfg = cfg();
 
-    let run = |threads: usize| {
+    let run_at = |threads: usize| {
         ceaff_parallel::with_threads(threads, || {
             let budget = ExecBudget::unlimited().with_step_limit(0);
-            try_run_with_budget(&EaInput::new(&ds.pair, &src, &tgt), &cfg, &budget)
+            run(&EaInput::new(&ds.pair, &src, &tgt), &cfg, &budget, None)
                 .expect("zero step limit degrades, not errors")
         })
     };
-    let out = run(1);
+    let out = run_at(1);
     assert!(out.matching.is_one_to_one());
     assert_eq!(out.matching.len(), ds.pair.test_pairs().len());
     assert!(out.accuracy.is_finite());
@@ -229,7 +227,7 @@ fn zero_step_limit_degrades_immediately_and_reproducibly() {
         }
         assert!((0.0..=1.0).contains(&d.fraction_degraded));
     }
-    assert_bitwise_equal(&out, &run(4));
+    assert_bitwise_equal(&out, &run_at(4));
 }
 
 #[test]
@@ -240,7 +238,7 @@ fn tiny_memory_budget_is_a_typed_error_not_an_abort() {
     let cfg = cfg();
 
     let budget = ExecBudget::unlimited().with_max_mem_bytes(4 * 1024);
-    let err = try_run_with_budget(&EaInput::new(&ds.pair, &src, &tgt), &cfg, &budget)
+    let err = run(&EaInput::new(&ds.pair, &src, &tgt), &cfg, &budget, None)
         .expect_err("a 4 KiB cap cannot fit the GCN");
     match err {
         CeaffError::BudgetExceeded {
@@ -270,12 +268,12 @@ fn degraded_checkpoint_run_keeps_training_state_and_resumes_exactly() {
     // The degraded structural output must NOT be saved as a completed
     // stage artifact — only the in-flight training state stays.
     let budget = ExecBudget::unlimited().with_step_limit(10);
-    let degraded = try_run_checkpointed_with_budget(
+    let ck = Checkpointer::create(&dir, CheckpointPolicy::EveryNEpochs(5), &cfg).expect("run dir");
+    let degraded = run(
         &EaInput::new(&ds.pair, &src, &tgt),
         &cfg,
-        &dir,
-        CheckpointPolicy::EveryNEpochs(5),
         &budget,
+        Some(&ck),
     )
     .expect("degraded checkpointed run");
     assert!(!degraded.trace.degradations.is_empty());
@@ -290,7 +288,14 @@ fn degraded_checkpoint_run_keeps_training_state_and_resumes_exactly() {
 
     // Resuming without a budget finishes the real computation and lands
     // bit-for-bit on the uninterrupted answer.
-    let resumed = resume_from(&dir, &EaInput::new(&ds.pair, &src, &tgt)).expect("resume completes");
+    let (ck, resume_cfg) = Checkpointer::open(&dir).expect("run dir reopens");
+    let resumed = run(
+        &EaInput::new(&ds.pair, &src, &tgt),
+        &resume_cfg,
+        &ExecBudget::unlimited(),
+        Some(&ck),
+    )
+    .expect("resume completes");
     assert_bitwise_equal(&plain, &resumed);
     std::fs::remove_dir_all(&dir).ok();
 }

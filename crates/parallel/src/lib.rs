@@ -75,8 +75,17 @@ pub fn install_cancel_probe(probe: CancelProbe) -> CancelProbeGuard {
     CancelProbeGuard { prev }
 }
 
+/// Remove this thread's cancel probe until the returned guard drops, so
+/// regions dispatched meanwhile run exactly as with no probe installed.
+#[must_use = "the previous probe is restored when the guard drops"]
+pub fn clear_cancel_probe() -> CancelProbeGuard {
+    let prev = CANCEL_PROBE.with(|cell| cell.replace(None));
+    CancelProbeGuard { prev }
+}
+
 /// Restores the previously-installed probe (if any) on drop; returned by
-/// [`install_cancel_probe`]. Nestable, innermost wins.
+/// [`install_cancel_probe`] and [`clear_cancel_probe`]. Nestable,
+/// innermost wins.
 pub struct CancelProbeGuard {
     prev: Option<CancelProbe>,
 }
@@ -480,6 +489,24 @@ mod tests {
             });
         });
         assert_eq!(hits.load(Ordering::Relaxed), 64);
+    }
+
+    #[test]
+    fn cleared_probe_runs_every_chunk_and_restores_on_drop() {
+        let outer = install_cancel_probe(Arc::new(|| true));
+        {
+            let _clear = clear_cancel_probe();
+            assert!(!cancel_probe_fired());
+            let hits = AtomicU64::new(0);
+            with_threads(4, || {
+                par_for(64, |_| {
+                    hits.fetch_add(1, Ordering::Relaxed);
+                });
+            });
+            assert_eq!(hits.load(Ordering::Relaxed), 64);
+        }
+        assert!(cancel_probe_fired(), "the outer probe must be restored");
+        drop(outer);
     }
 
     #[test]

@@ -79,10 +79,10 @@ pub mod telemetry {
 pub mod prelude {
     pub use crate::task::DatasetTask;
     pub use ceaff_core::{
-        run_decision_budgeted, try_run, try_run_with_budget, try_run_with_features, AnytimeOutcome,
-        CancelToken, CandidateStrategy, CeaffConfig, CeaffError, CeaffOutput, DecisionOutput,
-        Degradation, EaInput, ExecBudget, FeatureSet, FusionConfig, GcnConfig, MatcherKind,
-        RunTrace, StopReason, Telemetry, WeightingMode,
+        run, run_decision_budgeted, try_run, try_run_with_features, AnytimeOutcome, CancelToken,
+        CandidateStrategy, CeaffConfig, CeaffError, CeaffOutput, DecisionOutput, Degradation,
+        EaInput, ExecBudget, FeatureSet, FusionConfig, GcnConfig, MatcherKind, RunTrace,
+        StopReason, Telemetry, WeightingMode,
     };
     pub use ceaff_datagen::{GenConfig, GeneratedDataset, NameChannel, Preset};
     pub use ceaff_sim::{BlockingConfig, SimStore, SparseTopK};
